@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -122,11 +123,25 @@ def _read_trajectory_csv(path) -> Trajectory:
         for row in reader:
             if not row:
                 continue
-            times.append(float(row[0]))
-            rows.append([float(v) for v in row[1:4]])
+            sample = len(rows) + 1
+            if len(row) < 4:
+                raise ConfigError(
+                    f"{path}: sample {sample}: expected 4 values, got {len(row)}"
+                )
+            try:
+                values = [float(v) for v in row[:4]]
+            except ValueError:
+                raise ConfigError(f"{path}: sample {sample}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{path}: sample {sample}: non-finite value")
+            times.append(values[0])
+            rows.append(values[1:])
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least two samples")
     dt = times[1] - times[0]
+    # lambda is a per-step slope over dt, so a wrong dt silently rescales it
+    if not dt > 0 or np.any(np.abs(np.diff(times) - dt) > 1e-6 * dt):
+        raise ConfigError(f"{path}: time column is not uniformly increasing")
     return Trajectory(dt, np.asarray(rows), t0=times[0])
 
 

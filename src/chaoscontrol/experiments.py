@@ -28,7 +28,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence, Union
 
@@ -188,19 +188,6 @@ class SweepSpec:
             raise ConfigError(f"kinds must be drawn from {PREDICTOR_KINDS}")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be >= 1")
-
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_tuple(text: str) -> tuple:
@@ -682,8 +669,3 @@ def export_training_snapshot(
         else [],
     )
     return csv_path
-
-
-def single_run_config(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Convenience: derived config with fields replaced."""
-    return replace(cfg, **overrides)

@@ -27,6 +27,7 @@ __all__ = [
     "ClimateStats",
     "correlation_dimension",
     "largest_lyapunov",
+    "theiler_neighbours",
     "climate_stats",
     "write_gp_diagnostics_csv",
     "write_lyapunov_diagnostics_csv",
@@ -39,23 +40,19 @@ class GpConfig:
 
     ``r_min``/``r_max`` are fractions of the attractor diameter (twice the
     maximum distance from the centroid); ``n_r`` thresholds are log-spaced
-    between them.  Above ``max_pairs`` point pairs, a seeded uniform random
-    subsample of pairs is used instead of the full O(N^2) count.
+    between them.  At each threshold r, every ordered pair of distinct
+    samples at distance d <= r is counted exactly by dual-tree traversal.
     """
 
     r_min: float = 0.005
     r_max: float = 0.10
     n_r: int = 20
-    max_pairs: int = 10_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
             raise ValueError("require 0 < r_min < r_max")
         if self.n_r < 5:
             raise ValueError("n_r must be >= 5")
-        if self.max_pairs < 1:
-            raise ValueError("max_pairs must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class GpDiagnostics:
     intercept: float
     r_squared: float
     n_pairs: int
-    subsampled: bool
     degenerate: bool = False
     low_fit_quality: bool = False
 
@@ -140,16 +136,27 @@ def _attractor_diameter(points: np.ndarray) -> float:
     return 2.0 * float(np.sqrt((centered**2).sum(axis=1).max()))
 
 
+# k-d tree build flags: on 10k-sample attractor series an unbalanced,
+# non-compacted tree builds and traverses fastest
+_TREE_FLAGS = {"compact_nodes": False, "balanced_tree": False}
+# first-stage neighbour count of the Theiler-window search; the first
+# valid neighbour on attractor series sits at rank <= 5
+_FIRST_QUERY_K = 8
+
+
 def correlation_dimension(
     traj: Trajectory, cfg: GpConfig = GpConfig()
 ) -> tuple[float, GpDiagnostics]:
-    """Correlation dimension via pair counting over log-spaced thresholds.
+    """Correlation dimension via exact pair counting over log-spaced thresholds.
 
-    The correlation integral C(r) is the fraction of distinct point pairs
-    closer than r; the dimension is the slope of log C against log r over
-    the configured threshold range.  Returns (nu, diagnostics); a collapsed
-    trajectory (all counts zero) or a fit with R^2 < 0.9 is flagged on the
-    diagnostics rather than raised.
+    The correlation integral C(r) is the fraction of ordered pairs (i, j),
+    i != j, whose Euclidean distance satisfies d <= r, over all
+    ``n_pairs = n*(n-1)`` such pairs; the dimension is the slope of log C
+    against log r over the configured threshold range.  The counts come
+    from dual-tree traversal (Gray & Moore, NIPS 2000) of one k-d tree
+    against itself, which is exact and needs no distance matrix.  Returns
+    (nu, diagnostics); a collapsed trajectory (all counts zero) or a fit
+    with R^2 < 0.9 is flagged on the diagnostics rather than raised.
     """
     points = traj.samples
     n = points.shape[0]
@@ -160,52 +167,21 @@ def correlation_dimension(
     if diam == 0.0:
         diag = GpDiagnostics(
             r=np.array([]), c=np.array([]), slope=float("nan"),
-            intercept=float("nan"), r_squared=0.0, n_pairs=0,
-            subsampled=False, degenerate=True,
+            intercept=float("nan"), r_squared=0.0, n_pairs=0, degenerate=True,
         )
         return float("nan"), diag
 
     r_grid = np.geomspace(cfg.r_min * diam, cfg.r_max * diam, cfg.n_r)
-    # squared-distance histogram edges; upper bin catches everything beyond
-    edges = np.concatenate([[0.0], r_grid**2, [np.inf]])
-
-    total_pairs = n * (n - 1)
-    subsampled = total_pairs > cfg.max_pairs
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-
-    if not subsampled:
-        chunk = max(1, 2_000_000 // n)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            diff = points[lo:hi, None, :] - points[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            # drop self-distances on the diagonal of this block
-            for row in range(lo, hi):
-                d2[row - lo, row] = np.inf
-            counts += np.histogram(d2, bins=edges)[0]
-        n_pairs = total_pairs
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        n_pairs = int(cfg.max_pairs)
-        drawn = 0
-        while drawn < n_pairs:
-            m = min(2_000_000, n_pairs - drawn)
-            i = rng.integers(0, n, size=m)
-            j = rng.integers(0, n - 1, size=m)
-            j = np.where(j >= i, j + 1, j)  # uniform over j != i
-            diff = points[i] - points[j]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            counts += np.histogram(d2, bins=edges)[0]
-            drawn += m
-
-    cum = np.cumsum(counts)[: cfg.n_r]  # cum[m] = #pairs with d < r_grid[m]
+    tree = cKDTree(points, **_TREE_FLAGS)
+    # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
+    cum = tree.count_neighbors(tree, r_grid) - n
+    n_pairs = n * (n - 1)
     c_r = cum / n_pairs
 
     if cum[-1] == 0:
         diag = GpDiagnostics(
             r=r_grid, c=c_r, slope=float("nan"), intercept=float("nan"),
-            r_squared=0.0, n_pairs=n_pairs, subsampled=subsampled,
-            degenerate=True,
+            r_squared=0.0, n_pairs=n_pairs, degenerate=True,
         )
         return float("nan"), diag
 
@@ -213,10 +189,48 @@ def correlation_dimension(
     slope, intercept, r2 = _linear_fit(np.log(r_grid[mask]), np.log(c_r[mask]))
     diag = GpDiagnostics(
         r=r_grid, c=c_r, slope=slope, intercept=intercept, r_squared=r2,
-        n_pairs=n_pairs, subsampled=subsampled,
-        low_fit_quality=r2 < 0.9,
+        n_pairs=n_pairs, low_fit_quality=r2 < 0.9,
     )
     return slope, diag
+
+
+def _first_valid_neighbour(idx: np.ndarray, rows: np.ndarray, window: int):
+    """Nearest candidate of each row more than ``window`` steps away.
+
+    ``idx`` holds each row's neighbour indices in ascending distance.
+    Returns (neighbour index per row, whether the row has one).
+    """
+    valid = np.abs(idx - rows[:, None]) > window
+    first = np.argmax(valid, axis=1)
+    return idx[np.arange(len(rows)), first], valid.any(axis=1)
+
+
+def theiler_neighbours(points: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest neighbour of every point outside a Theiler window.
+
+    For each row i, the index j minimising |x_i - x_j| subject to
+    |i - j| > ``window``.  Returns (neighbour per row, whether the row has
+    one); a row without a valid neighbour gets an arbitrary index.
+
+    At most 2W+1 indices violate the window (self included), so 2W+2
+    nearest neighbours always contain the valid hit when one exists.  On
+    attractor series the hit is almost always among the first few, so
+    every row is queried for a handful of neighbours first and only the
+    rows without a hit are queried again at full depth.  The selected
+    neighbour is the same as for a single full-depth query.
+    """
+    m = points.shape[0]
+    rows = np.arange(m)
+    tree = cKDTree(points, **_TREE_FLAGS)
+    k_full = min(2 * window + 2, m)
+    k = min(_FIRST_QUERY_K, k_full)
+    _, idx = tree.query(points, k=k)
+    nb, has_valid = _first_valid_neighbour(idx, rows, window)
+    redo = np.flatnonzero(~has_valid)
+    if len(redo) and k < k_full:
+        _, idx = tree.query(points[redo], k=k_full)
+        nb[redo], has_valid[redo] = _first_valid_neighbour(idx, redo, window)
+    return nb, has_valid
 
 
 def largest_lyapunov(
@@ -235,22 +249,7 @@ def largest_lyapunov(
     if m < 2:
         raise InsufficientDataError("trajectory shorter than follow_steps")
 
-    base = points[:m]
-    tree = cKDTree(base)
-    # at most 2W+1 candidates violate the Theiler window (incl. self), so
-    # 2W+2 neighbours guarantee one valid hit when available
-    k = min(2 * cfg.theiler_window + 2, m)
-    dists, idx = tree.query(base, k=k)
-    if k == 1:
-        dists = dists[:, None]
-        idx = idx[:, None]
-
-    sep = np.abs(idx - np.arange(m)[:, None])
-    valid = sep > cfg.theiler_window
-    has_valid = valid.any(axis=1)
-    first = np.argmax(valid, axis=1)
-    nb = idx[np.arange(m), first]
-
+    nb, has_valid = theiler_neighbours(points[:m], cfg.theiler_window)
     ref = np.flatnonzero(has_valid)
     nb = nb[ref]
     valid_fraction = float(len(ref)) / m

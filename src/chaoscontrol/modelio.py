@@ -170,10 +170,10 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
     """Read a model saved by :func:`save_model`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    text, payload = _split_payload(raw)
-    fields = _parse_header(text)
-    kind = fields.get("kind")
     try:
+        text, payload = _split_payload(raw)
+        fields = _parse_header(text)
+        kind = fields.get("kind")
         arrays = _read_arrays(fields["arrays"], payload)
         if kind == "classic":
             cfg = EsnConfig(
@@ -223,4 +223,7 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
             )
     except KeyError as exc:
         raise ConfigError(f"model header missing field {exc}") from exc
+    except ValueError as exc:
+        # unparseable numbers, out-of-range config values, non-UTF-8 header
+        raise ConfigError(f"malformed model file: {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")

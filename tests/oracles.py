@@ -118,3 +118,34 @@ def enumerate_monomials(n_vars: int, orders) -> set:
         for combo in itertools.product(range(n_vars), repeat=order):
             out.add(tuple(sorted(combo)))
     return out
+
+
+def pair_counts(points, r_grid) -> np.ndarray:
+    """Brute-force correlation-integral counts from the full distance matrix.
+
+    Entry m is the number of ordered pairs (i, j), i != j, whose Euclidean
+    distance satisfies d <= r_grid[m] (closed ball, boundary included).
+    """
+    x = np.asarray(points, dtype=float)
+    d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+    off_diagonal = d[~np.eye(len(x), dtype=bool)]
+    return np.array([np.count_nonzero(off_diagonal <= r) for r in r_grid])
+
+
+def theiler_nearest_neighbours(points, window: int):
+    """Brute-force nearest neighbour of each row at time separation > window.
+
+    Returns (neighbour index per row, first-valid rank per row, whether the
+    row has a neighbour).  The rank counts the row itself as rank 0, so it
+    is the depth a distance-sorted neighbour query must reach.
+    """
+    x = np.asarray(points, dtype=float)
+    n = len(x)
+    d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+    rows = np.arange(n)
+    outside = np.abs(rows[:, None] - rows[None, :]) > window
+    masked = np.where(outside, d, np.inf)
+    neighbour = np.argmin(masked, axis=1)
+    has_valid = outside.any(axis=1)
+    rank = (d < masked[rows, neighbour][:, None]).sum(axis=1)
+    return neighbour, rank, has_valid

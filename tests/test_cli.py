@@ -1,3 +1,5 @@
+import pytest
+
 from chaoscontrol.cli import main
 
 
@@ -84,6 +86,32 @@ def test_metrics_rejects_non_trajectory_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert run_cli("metrics", "--input", str(bad), "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("0.2,nan,1.0,1.0", "sample 5: non-finite"),
+        ("0.2,1.0", "sample 5: expected 4"),
+        ("0.2,abc,1.0,1.0", "sample 5: non-numeric"),
+        ("0.2125,1.0,2.0,3.0", "uniformly"),
+    ],
+    ids=["nan-cell", "short-row", "non-numeric-cell", "non-uniform-time"],
+)
+def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, message):
+    assert run_cli(
+        "simulate", "--steps", "300", "--no-timestamp", "--out", str(tmp_path)
+    ) == 0
+    path = tmp_path / "trajectory.csv"
+    assert run_cli("metrics", "--input", str(path), "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    lines[5] = bad_row  # lines[0] is the header, so this is sample 5
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("metrics", "--input", str(path), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and message in err
 
 
 def test_control_writes_experiment_bundle(tmp_path):

@@ -13,12 +13,14 @@ from chaoscontrol import (
 )
 from chaoscontrol.errors import InsufficientDataError
 from chaoscontrol.metrics import (
+    _FIRST_QUERY_K,
+    theiler_neighbours,
     write_gp_diagnostics_csv,
     write_lyapunov_diagnostics_csv,
 )
 
 from conftest import PLANT_PARAMS, attractor_trajectory
-from oracles import benettin_lyapunov
+from oracles import benettin_lyapunov, pair_counts, theiler_nearest_neighbours
 
 
 def _line_set(n=10_000, seed=0):
@@ -60,12 +62,15 @@ def test_collapsed_cloud_flagged_degenerate():
     assert diag.degenerate
 
 
-def test_contracting_spiral_has_nonpositive_exponent():
-    t = 0.05 * np.arange(4000)
-    samples = np.column_stack(
+def _spiral(n):
+    t = 0.05 * np.arange(n)
+    return np.column_stack(
         [np.exp(-0.3 * t) * np.cos(t), np.exp(-0.3 * t) * np.sin(t), np.exp(-0.3 * t)]
     )
-    lam, _ = largest_lyapunov(Trajectory(0.05, samples), RosensteinConfig())
+
+
+def test_contracting_spiral_has_nonpositive_exponent():
+    lam, _ = largest_lyapunov(Trajectory(0.05, _spiral(4000)), RosensteinConfig())
     assert lam <= 0.0
 
 
@@ -124,20 +129,58 @@ def test_exponent_is_per_model_time(lorenz_classic):
     assert lam_b == pytest.approx(lam_a / 2.0, rel=1e-12)
 
 
-def test_subsampling_stability(lorenz_classic):
-    base = GpConfig(max_pairs=200_000)
-    doubled = GpConfig(max_pairs=400_000)
-    nu_a, diag_a = correlation_dimension(lorenz_classic, base)
-    nu_b, diag_b = correlation_dimension(lorenz_classic, doubled)
-    assert diag_a.subsampled and diag_b.subsampled
-    assert abs(nu_a - nu_b) < 0.05
+def _pair_count_sets():
+    rng = np.random.default_rng(7)
+    random = rng.normal(size=(300, 3))
+    # 60 distinct points, each repeated 1-4 times: zero-distance pairs
+    base = rng.uniform(-1.0, 1.0, size=(60, 3))
+    duplicates = np.repeat(base, rng.integers(1, 5, size=60), axis=0)
+    lorenz = attractor_trajectory(PLANT_PARAMS, 399, seed=2).samples
+    return {"random": random, "duplicates": duplicates, "lorenz": lorenz}
 
 
-def test_subsampling_deterministic(lorenz_classic):
-    cfg = GpConfig(max_pairs=100_000, seed=5)
-    nu_a, _ = correlation_dimension(lorenz_classic, cfg)
-    nu_b, _ = correlation_dimension(lorenz_classic, cfg)
-    assert nu_a == nu_b
+@pytest.mark.parametrize("name", ["random", "duplicates", "lorenz"])
+def test_pair_counts_match_brute_force_oracle(name):
+    points = _pair_count_sets()[name]
+    n = len(points)
+    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
+    assert diag.n_pairs == n * (n - 1)
+    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
+    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
+    assert counts[-1] > 0
+
+
+@pytest.mark.parametrize(
+    "series, deep",
+    [
+        # the spiral's nearest points are its own recent past: the first
+        # valid rank reaches ~2W, so every row needs the full-depth query
+        pytest.param(lambda: _spiral(1500), True, id="contracting-spiral"),
+        pytest.param(
+            lambda: attractor_trajectory(PLANT_PARAMS, 1499, seed=3).samples, False,
+            id="lorenz",
+        ),
+    ],
+)
+def test_theiler_neighbours_match_brute_force_oracle(series, deep):
+    points = series()
+    window = RosensteinConfig().theiler_window
+    neighbour, has_valid = theiler_neighbours(points, window)
+    expected, rank, expected_valid = theiler_nearest_neighbours(points, window)
+    assert (rank.max() >= _FIRST_QUERY_K) == deep
+    np.testing.assert_array_equal(has_valid, expected_valid)
+    np.testing.assert_array_equal(neighbour, expected)
+
+
+def test_rows_without_valid_neighbour_lower_valid_fraction():
+    # 80 trackable rows with a 50-step window: rows 29..50 have no partner
+    traj = attractor_trajectory(PLANT_PARAMS, 139, seed=3)
+    cfg = RosensteinConfig()
+    m = len(traj) - cfg.follow_steps
+    _, _, expected_valid = theiler_nearest_neighbours(traj.samples[:m], cfg.theiler_window)
+    _, diag = largest_lyapunov(traj, cfg)
+    assert diag.valid_fraction == expected_valid.sum() / m
+    assert diag.valid_fraction == 58 / 80
 
 
 def test_config_validation():

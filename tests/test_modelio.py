@@ -8,6 +8,7 @@ from chaoscontrol import (
     load_model,
     save_model,
 )
+from chaoscontrol.cli import main as cli_main
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.esn import train as esn_train
 from chaoscontrol.modelio import FORMAT_MAGIC
@@ -88,6 +89,25 @@ def test_truncated_payload_rejected(tmp_path, trained_esn):
     clipped.write_bytes(raw[:-16])
     with pytest.raises(ConfigError):
         load_model(clipped)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(b"reservoir_dim=40", b"reservoir_dim=abc"), (b"kind=classic", b"kind=cl\xffssic")],
+    ids=["malformed-value", "non-utf8-header"],
+)
+def test_malformed_header_is_config_error(tmp_path, capsys, trained_esn, old, new):
+    path = tmp_path / "esn.ccm"
+    save_model(path, trained_esn)
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+    with pytest.raises(ConfigError):
+        load_model(path)
+    code = cli_main(["predict", "--model", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
 
 
 def test_unsupported_type_rejected():
