@@ -22,7 +22,7 @@ import numpy as np
 
 from . import esn, ngrc
 from .dynamics import Trajectory, random_initial_state, relax_to_attractor, simulate
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InsufficientDataError
 from .esn import EsnModel
 from .experiments import (
     ExperimentConfig,
@@ -161,6 +161,8 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
         random_initial_state(rng), params, cfg.integrator(), cfg.transient_steps
     )
     steps = args.steps if args.steps is not None else cfg.horizon
+    if steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {steps}")
     traj = simulate(u0, params, cfg.integrator(), steps)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
@@ -179,8 +181,10 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_predict(args, cfg: ExperimentConfig) -> int:
-    model = load_model(args.model)
     steps = args.steps if args.steps is not None else cfg.horizon
+    if steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {steps}")
+    model = load_model(args.model)
     traj = _predict_free_run(model, steps, cfg.dt)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "prediction.csv")
@@ -279,6 +283,9 @@ def main(argv=None) -> int:
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InsufficientDataError as exc:
+        print(f"insufficient data: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -90,6 +90,12 @@ def run_control(
     With K=0 the injected force vanishes and the plant path is bit-identical
     to an unforced simulation from u0.
 
+    The loop reads each predictor output as Python floats (``tolist``) and
+    keeps the plant state in Python floats.  The arithmetic is the same
+    IEEE double arithmetic as on ``np.float64`` scalars, so the results are
+    bitwise the same, but numpy scalars would make every scalar RK4 stage
+    several times slower.
+
     Raises:
         DivergenceError: plant leaving ``divergence_bound`` (phase
             "control") or predictor divergence (phase "predict").
@@ -106,14 +112,15 @@ def run_control(
     v[0] = stepper.step()
     bound = cfg.divergence_bound
     for t in range(n):
-        fx = sign_k * (v[t, 0] - x)
-        fy = sign_k * (v[t, 1] - y)
-        fz = sign_k * (v[t, 2] - z)
+        vx, vy, vz = v[t].tolist()  # Python floats, see the docstring
+        fx = sign_k * (vx - x)
+        fy = sign_k * (vy - y)
+        fz = sign_k * (vz - z)
         x, y, z = _advance_interval(
             x, y, z, p.sigma, p.rho, p.beta, icfg.dt, icfg.substeps, fx, fy, fz
         )
-        finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-        if not finite or max(abs(x), abs(y), abs(z)) > bound:
+        # NaN and inf fail the comparisons too
+        if not (abs(x) <= bound and abs(y) <= bound and abs(z) <= bound):
             raise DivergenceError(
                 f"controlled plant left |u| <= {bound:g}",
                 phase="control", step=t + 1,

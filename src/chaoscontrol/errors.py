@@ -31,6 +31,16 @@ class DivergenceError(ChaosControlError):
         self.step = step
 
 
+def within_bound(v, bound: float) -> bool:
+    """True when every component c of the array v satisfies |c| <= bound.
+
+    NaN and inf fail the comparison, so they count as out of bound.  Plain
+    Python floats make this several times cheaper than numpy reductions on
+    the 3-vectors a predictor emits each step.
+    """
+    return all(abs(c) <= bound for c in v.tolist())
+
+
 class IllConditionedError(ChaosControlError):
     """The regularized normal-equations solve failed."""
 

@@ -19,6 +19,7 @@ from .errors import (
     DivergenceError,
     InsufficientDataError,
     ReservoirSamplingError,
+    within_bound,
 )
 from .ridge import ridge_fit
 
@@ -216,7 +217,7 @@ class _EsnStepper:
         """Emit v = P {r, r^2}, then feed v back as the next input."""
         v = self._P @ augmented_state(self._r)
         self._step += 1
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > self._bound:
+        if not within_bound(v, self._bound):
             raise DivergenceError(
                 f"autonomous prediction left |v| <= {self._bound:g}",
                 phase="predict", step=self._step,

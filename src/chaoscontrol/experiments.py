@@ -291,14 +291,16 @@ def _derived_int(master_seed: int, kind: str, n: int, realization: int, stream: 
 # shared pipeline pieces
 
 
-def _training_start(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> np.ndarray:
+def _training_series(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> Trajectory:
+    """The n-sample seeded training series of one cell."""
     rng = np.random.default_rng(
         derive_seed_sequence(cfg.master_seed, kind, n, realization, _STREAM_TRAJECTORY)
     )
-    return relax_to_attractor(
+    u0 = relax_to_attractor(
         random_initial_state(rng), cfg.train_params(), cfg.integrator(),
         cfg.transient_steps,
     )
+    return simulate(u0, cfg.train_params(), cfg.integrator(), n - 1)
 
 
 def _train_predictor(
@@ -334,8 +336,7 @@ def prepare_trained_model(
     run_single/sweep cell with the same coordinates trains on.
     """
     n = cfg.training_steps
-    u0 = _training_start(cfg, cfg.kind, n, realization)
-    training = simulate(u0, cfg.train_params(), cfg.integrator(), n - 1)
+    training = _training_series(cfg, cfg.kind, n, realization)
     model = _train_predictor(cfg, cfg.kind, n, realization, training)
     return training, model
 
@@ -362,17 +363,28 @@ class SingleRunReport:
 def run_single(cfg: ExperimentConfig, realization: int = 0) -> SingleRunReport:
     """Train, switch the plant regime, control, and measure all climates.
 
+    The reference is the unforced training-regime series from the training
+    start, ``max(n - 1, horizon)`` intervals long.  Only the training part
+    is simulated before control; the rest is appended after control
+    returns, so a run that diverges never pays for it.  RK4 continues from
+    the last training sample exactly as one long simulation would, so the
+    reference is bit-identical to simulating it in one call.
+
     Raises:
         DivergenceError: if prediction or control blows up (phase tagged).
     """
     integ = cfg.integrator()
     n = cfg.training_steps
-    u0 = _training_start(cfg, cfg.kind, n, realization)
-    reference = simulate(
-        u0, cfg.train_params(), integ, max(n - 1, cfg.horizon)
-    )
-    training = reference.segment(0, n)
+    training = _training_series(cfg, cfg.kind, n, realization)
     run = _controlled_run(cfg, cfg.kind, n, realization, training)
+    reference = training
+    if cfg.horizon > n - 1:
+        tail = simulate(
+            training.samples[-1], cfg.train_params(), integ, cfg.horizon - (n - 1)
+        )
+        reference = Trajectory(
+            integ.dt, np.concatenate([training.samples, tail.samples[1:]])
+        )
     u0c = run.controlled.samples[0]
     uncontrolled = simulate(u0c, cfg.plant_params(), integ, cfg.horizon)
     return SingleRunReport(
@@ -443,8 +455,7 @@ def _run_cell(args) -> SweepRow:
         if kind in REFERENCE_KINDS:
             stats = _reference_climate_cell(cfg, kind, realization)
         else:
-            u0 = _training_start(cfg, kind, n, realization)
-            training = simulate(u0, cfg.train_params(), cfg.integrator(), n - 1)
+            training = _training_series(cfg, kind, n, realization)
             run = _controlled_run(cfg, kind, n, realization, training)
             stats = climate_stats(run.controlled)
         lam, nu = stats.lambda_max, stats.corr_dim
@@ -636,8 +647,7 @@ def export_training_snapshot(
     """
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.training_steps
-    u0 = _training_start(cfg, cfg.kind, n, realization)
-    training = simulate(u0, cfg.train_params(), cfg.integrator(), n - 1)
+    training = _training_series(cfg, cfg.kind, n, realization)
     if cfg.kind == "classic":
         boundary = cfg.washout_for(n)
         discard_phase = "washout"

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import DivergenceError, InsufficientDataError
+from .errors import DivergenceError, InsufficientDataError, within_bound
 from .ridge import ridge_fit
 
 __all__ = [
@@ -90,6 +91,20 @@ class MonomialLibrary:
 
     def __len__(self):
         return len(self.monomials)
+
+    @cached_property
+    def index_table(self) -> np.ndarray:
+        """(width, n_monomials) variable indices, one row per factor position.
+
+        Monomials shorter than the widest are padded with ``input_dim``, the
+        index of a 1.0 appended to the input, so every monomial is a product
+        of exactly ``width`` gathered columns.
+        """
+        width = max(len(m) for m in self.monomials)
+        table = np.full((width, len(self.monomials)), self.input_dim, dtype=np.intp)
+        for j, mono in enumerate(self.monomials):
+            table[: len(mono), j] = mono
+        return table
 
 
 def build_library(input_dim: int, orders: Sequence[int]) -> MonomialLibrary:
@@ -165,20 +180,30 @@ def shift_expand(history: Trajectory, t: int, k: int, s: int) -> np.ndarray:
     return np.concatenate(taps)
 
 
+def _products(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Multiply the gathered factor columns of ``table`` left to right."""
+    out = padded[..., table[0]]
+    for factor in table[1:]:
+        out *= padded[..., factor]
+    return out
+
+
 def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
-    """Evaluate every library monomial at v, in canonical order."""
+    """Evaluate every library monomial at v, in canonical order.
+
+    Works on one vector or on rows of a 2-D array.  The product order is
+    the contract: each monomial is its variables multiplied left to right
+    in index-tuple order, (x0 * x0) * x2 for (0, 0, 2), and the padding
+    factors of shorter monomials multiply by an exact 1.0 afterwards.  Any
+    reimplementation must keep that order to stay bitwise equal.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != lib.input_dim:
         raise ValueError(
             f"expected {lib.input_dim} variables, got {v.shape[-1]}"
         )
-    out = np.empty(v.shape[:-1] + (len(lib),))
-    for j, mono in enumerate(lib.monomials):
-        feat = v[..., mono[0]].copy()
-        for idx in mono[1:]:
-            feat *= v[..., idx]
-        out[..., j] = feat
-    return out
+    padded = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
+    return _products(padded, lib.index_table)
 
 
 def build_design(
@@ -200,8 +225,11 @@ def build_design(
         raise InsufficientDataError(
             f"need more than {cfg.warmup + 1} samples, got {t_total}"
         )
-    rows = range(cfg.warmup, t_total - 1)
-    taps = np.stack([shift_expand(data, t, cfg.k, cfg.s) for t in rows])
+    # tap i of row t is sample t - i*s, the layout of shift_expand
+    taps = np.concatenate(
+        [samples[cfg.warmup - i * cfg.s : t_total - 1 - i * cfg.s] for i in range(cfg.k)],
+        axis=1,
+    )
     design = poly_features(taps, lib)
     targets = samples[cfg.warmup + 1 :] - samples[cfg.warmup : -1]
     return design, targets
@@ -229,21 +257,28 @@ class _NgrcStepper:
     """Closed-loop iterator over v(t+dt) = v(t) + W_out r(t)."""
 
     def __init__(self, model: NgrcModel, history: np.ndarray, bound: float):
-        self._cfg = model.config
-        self._lib = model.library
+        self._k, self._s = model.config.k, model.config.s
+        self._table = model.library.index_table
         self._W = model.W_out
         self._buf = np.array(history, dtype=float)  # ring of tap_span samples
+        self._dim = self._buf.shape[1]
+        if self._k * self._dim != model.library.input_dim:
+            raise ValueError(
+                f"{self._k} taps of {self._dim} variables do not match a library "
+                f"over {model.library.input_dim}"
+            )
+        # taps newest first, then the 1.0 the padded index table points at
+        self._taps = np.ones(self._k * self._dim + 1)
         self._bound = bound
         self._step = 0
 
-    def _taps(self) -> np.ndarray:
-        k, s = self._cfg.k, self._cfg.s
-        return np.concatenate([self._buf[-1 - i * s] for i in range(k)])
-
     def step(self) -> np.ndarray:
-        v = self._buf[-1] + self._W @ poly_features(self._taps(), self._lib)
+        d, s = self._dim, self._s
+        for i in range(self._k):
+            self._taps[i * d : (i + 1) * d] = self._buf[-1 - i * s]
+        v = self._buf[-1] + self._W @ _products(self._taps, self._table)
         self._step += 1
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > self._bound:
+        if not within_bound(v, self._bound):
             raise DivergenceError(
                 f"autonomous prediction left |v| <= {self._bound:g}",
                 phase="predict", step=self._step,

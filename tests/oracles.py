@@ -120,6 +120,28 @@ def enumerate_monomials(n_vars: int, orders) -> set:
     return out
 
 
+def monomial_products(v, monomials) -> np.ndarray:
+    """Each monomial's variables multiplied left to right in plain Python.
+
+    ``v`` is one vector or a 2-D array of row vectors; ``monomials`` are
+    variable-index tuples.  Python floats carry the same IEEE doubles as
+    numpy, so a vectorized evaluation with the same product order must
+    agree bit for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, v.shape[-1]).tolist()
+    out = []
+    for row in rows:
+        feats = []
+        for mono in monomials:
+            product = row[mono[0]]
+            for idx in mono[1:]:
+                product = product * row[idx]
+            feats.append(product)
+        out.append(feats)
+    return np.array(out).reshape(v.shape[:-1] + (len(monomials),))
+
+
 def pair_counts(points, r_grid) -> np.ndarray:
     """Brute-force correlation-integral counts from the full distance matrix.
 

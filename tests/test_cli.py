@@ -114,6 +114,29 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "prepare, argv, message",
+    [
+        # 31 samples: shorter than follow_steps + 2 for the Rosenstein estimate
+        (["simulate", "--steps", "30"], ["metrics", "--input", "{out}/trajectory.csv"],
+         "insufficient data:"),
+        (None, ["simulate", "--steps", "0"], "config error: --steps must be >= 1"),
+        (["train", "--kind", "ngrc"], ["predict", "--model", "{out}/model.ccm", "--steps", "-1"],
+         "config error: --steps must be >= 0"),
+    ],
+    ids=["metrics-short-series", "simulate-zero-steps", "predict-negative-steps"],
+)
+def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, message):
+    if prepare is not None:
+        assert run_cli(*prepare, "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+    argv = [a.format(out=tmp_path) for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(message)
+
+
 def test_control_writes_experiment_bundle(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind = classic\ntraining_steps = 900\nhorizon = 1200\n")

@@ -5,7 +5,11 @@ import pytest
 from scipy import sparse
 
 from chaoscontrol import EsnConfig, EsnModel, Trajectory, build_reservoir
-from chaoscontrol.errors import InsufficientDataError, ReservoirSamplingError
+from chaoscontrol.errors import (
+    DivergenceError,
+    InsufficientDataError,
+    ReservoirSamplingError,
+)
 from chaoscontrol.esn import advance_state, augmented_state, predict_autonomous, train
 
 from oracles import ridge_normal_equations
@@ -176,9 +180,30 @@ def test_prediction_contract(train_run_short):
 def test_prediction_divergence_bound(train_run_short):
     m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
     train(m, train_run_short)
-    with pytest.raises(Exception) as info:
+    with pytest.raises(DivergenceError) as info:
         predict_autonomous(m, 50, 0.05, bound=1e-6)
-    assert getattr(info.value, "phase", "") == "predict"
+    assert info.value.phase == "predict"
+
+
+@pytest.mark.parametrize("readout", ["nan", "inf", "just-over-bound"])
+def test_divergence_check_on_first_step(train_run_short, readout):
+    m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
+    train(m, train_run_short)
+    first = m.P @ augmented_state(m.r)
+    bound = 1e3
+    if readout == "nan":
+        m.P = np.full_like(m.P, np.nan)
+    elif readout == "inf":
+        # inf times a positive squared state entry, zero elsewhere: v[0] = inf
+        m.P = np.zeros_like(m.P)
+        m.P[0, 50 + int(np.argmax(m.r * m.r))] = np.inf
+    else:
+        bound = np.nextafter(np.max(np.abs(first)), 0.0)
+        # the bound itself is inside: |v| <= bound passes
+        m.stepper(bound=np.max(np.abs(first))).step()
+    with pytest.raises(DivergenceError) as info:
+        m.stepper(bound=bound).step()
+    assert (info.value.phase, info.value.step) == ("predict", 1)
 
 
 def test_untrained_prediction_rejected():

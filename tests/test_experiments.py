@@ -175,6 +175,28 @@ def test_single_run_report_shapes():
     assert np.array_equal(report.forces.samples, rebuilt)
 
 
+@pytest.mark.parametrize(
+    "training_steps, horizon",
+    [(900, 1100), (1500, 1200), (1201, 1200)],
+    ids=["appended", "training-longer", "training-equal"],
+)
+def test_single_run_reference_is_one_simulation(training_steps, horizon):
+    cfg = ExperimentConfig(
+        kind="classic", training_steps=training_steps, horizon=horizon, master_seed=2
+    )
+    report = run_single(cfg)
+    intervals = max(training_steps - 1, horizon)
+    whole = simulate(
+        report.training.samples[0], cfg.train_params(), cfg.integrator(), intervals
+    )
+    # built in two calls around control, bit-identical to one long run
+    assert np.array_equal(report.reference.samples, whole.samples)
+    assert report.reference.t0 == 0.0 and report.reference.dt == cfg.dt
+    if training_steps - 1 >= horizon:
+        # nothing is appended: the reference is the training series
+        assert np.array_equal(report.reference.samples, report.training.samples)
+
+
 def test_prepare_trained_model_matches_single_run():
     cfg = ExperimentConfig(kind="classic", training_steps=900, horizon=1100, master_seed=2)
     training, model = prepare_trained_model(cfg)

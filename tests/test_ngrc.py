@@ -3,6 +3,7 @@ import pytest
 
 from chaoscontrol import NgrcConfig, NgrcModel, Trajectory, build_library
 from chaoscontrol.errors import DivergenceError, InsufficientDataError
+from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
 from chaoscontrol.ngrc import (
     build_design,
     poly_features,
@@ -11,7 +12,12 @@ from chaoscontrol.ngrc import (
     train,
 )
 
-from oracles import count_monomials, enumerate_monomials, ridge_normal_equations
+from oracles import (
+    count_monomials,
+    enumerate_monomials,
+    monomial_products,
+    ridge_normal_equations,
+)
 
 
 def _series(rows):
@@ -61,6 +67,23 @@ def test_poly_features_degree_one_is_identity():
     np.testing.assert_array_equal(poly_features(v, lib), v)
 
 
+@pytest.mark.parametrize(
+    "n_vars, orders",
+    [(3, (1, 2, 3, 4)), (6, (1, 2, 3)), (3, (2, 4))],
+    ids=["lorenz-k1", "lorenz-k2-cubic", "no-low-order-prefix"],
+)
+def test_poly_features_bitwise_match_product_oracle(n_vars, orders):
+    lib = build_library(n_vars, orders)
+    # wide magnitudes, so a different product order would round differently
+    rows = np.random.default_rng(n_vars).standard_normal((200, n_vars)) * [
+        10.0 ** e for e in np.linspace(-3, 3, n_vars)
+    ]
+    assert np.array_equal(poly_features(rows, lib), monomial_products(rows, lib.monomials))
+    assert np.array_equal(
+        poly_features(rows[7], lib), monomial_products(rows[7], lib.monomials)
+    )
+
+
 def test_poly_features_dimension_check():
     lib = build_library(3, (1, 2))
     with pytest.raises(ValueError):
@@ -101,6 +124,16 @@ def test_design_row_bookkeeping():
     np.testing.assert_array_equal(
         targets[0], traj.samples[5] - traj.samples[4]
     )
+
+
+@pytest.mark.parametrize("k, s", [(1, 57), (2, 3), (3, 5)])
+def test_design_taps_match_shift_expand(k, s):
+    traj = _series(np.random.default_rng(k).standard_normal((90, 3)))
+    # a degree-1 library in canonical order leaves the taps unchanged
+    design, _ = build_design(traj, NgrcConfig(k=k, s=s, orders=(1,)))
+    rows = range(k * s, len(traj) - 1)
+    want = np.stack([shift_expand(traj, t, k, s) for t in rows])
+    assert np.array_equal(design, want)
 
 
 def test_design_rows_at_reference_operating_point():
@@ -242,3 +275,43 @@ def test_prediction_divergence_signal(train_run_short):
     with pytest.raises(DivergenceError) as info:
         predict_autonomous(model, 10_000, 0.05, bound=1e3)
     assert info.value.phase == "predict"
+
+
+@pytest.mark.parametrize("readout", ["nan", "inf", "just-over-bound"])
+def test_divergence_check_on_first_step(train_run_short, readout):
+    model = train(train_run_short, NgrcConfig())
+    bound = 1e3
+    if readout == "nan":
+        model.W_out = np.full_like(model.W_out, np.nan)
+    elif readout == "inf":
+        # inf times the positive x^2 feature, zero elsewhere: v[0] = inf
+        model.W_out = np.zeros_like(model.W_out)
+        model.W_out[0, model.library.monomials.index((0, 0))] = np.inf
+    else:
+        top = np.max(np.abs(model.stepper(bound=np.inf).step()))
+        bound = np.nextafter(top, 0.0)
+        # the bound itself is inside: |v| <= bound passes
+        model.stepper(bound=top).step()
+    with pytest.raises(DivergenceError) as info:
+        model.stepper(bound=bound).step()
+    assert (info.value.phase, info.value.step) == ("predict", 1)
+
+
+# The NG-RC free run holds the attractor when sampled at dt = 0.025 and
+# leaves it at the pinned dt = 0.05 (equal training time, N*dt = 25), which
+# is why A3 and A4 fail in this build (README "Known-failing criteria").
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "dt, n, steps, survives",
+    [(0.025, 1000, 20_000, True), (0.05, 500, 10_000, False)],
+    ids=["dt0.025-survives", "dt0.05-diverges"],
+)
+def test_sampling_interval_boundary(seed, dt, n, steps, survives):
+    cfg = ExperimentConfig(kind="ngrc", dt=dt, training_steps=n, master_seed=seed)
+    _, model = prepare_trained_model(cfg)
+    if survives:
+        assert len(predict_autonomous(model, steps, dt)) == steps
+    else:
+        with pytest.raises(DivergenceError) as info:
+            predict_autonomous(model, steps, dt)
+        assert info.value.phase == "predict"
