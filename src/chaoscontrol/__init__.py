@@ -6,7 +6,7 @@ feedback force from the trained predictor, and scores the controlled system
 by its attractor climate (largest Lyapunov exponent, correlation dimension).
 """
 
-from .control import ControlConfig, ControlRun, compute_force, run_control
+from .control import ControlConfig, ControlRun, compute_force, free_run, run_control
 from .dynamics import (
     IntegratorConfig,
     LorenzParams,

@@ -20,28 +20,23 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import esn, ngrc
-from .dynamics import Trajectory, random_initial_state, relax_to_attractor, simulate
+from .control import free_run
+from .dynamics import Trajectory
 from .errors import ConfigError, DivergenceError, InsufficientDataError
-from .esn import EsnModel
 from .experiments import (
     ExperimentConfig,
     SweepSpec,
+    attractor_series,
     config_from_mapping,
-    derive_seed_sequence,
     export_training_snapshot,
     load_config_file,
     prepare_trained_model,
     run_single,
     run_sweep,
-    write_summary_csv,
+    write_csv,
     write_trajectory_csv,
 )
-from .metrics import (
-    climate_stats,
-    write_gp_diagnostics_csv,
-    write_lyapunov_diagnostics_csv,
-)
+from .metrics import climate_stats
 from .modelio import load_model, save_model
 
 __all__ = ["main"]
@@ -114,28 +109,32 @@ def _load_setup(args) -> tuple:
 
 
 def _read_trajectory_csv(path) -> Trajectory:
+    try:
+        with open(path, newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     times, rows = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["t", "x", "y", "z"]:
-            raise ConfigError(f"{path}: expected a t,x,y,z trajectory CSV")
-        for row in reader:
-            if not row:
-                continue
-            sample = len(rows) + 1
-            if len(row) < 4:
-                raise ConfigError(
-                    f"{path}: sample {sample}: expected 4 values, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row[:4]]
-            except ValueError:
-                raise ConfigError(f"{path}: sample {sample}: non-numeric value") from None
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"{path}: sample {sample}: non-finite value")
-            times.append(values[0])
-            rows.append(values[1:])
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:4]] != ["t", "x", "y", "z"]:
+        raise ConfigError(f"{path}: expected a t,x,y,z trajectory CSV")
+    for row in reader:
+        if not row:
+            continue
+        sample = len(rows) + 1
+        if len(row) < 4:
+            raise ConfigError(
+                f"{path}: sample {sample}: expected 4 values, got {len(row)}"
+            )
+        try:
+            values = [float(v) for v in row[:4]]
+        except ValueError:
+            raise ConfigError(f"{path}: sample {sample}: non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path}: sample {sample}: non-finite value")
+        times.append(values[0])
+        rows.append(values[1:])
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least two samples")
     dt = times[1] - times[0]
@@ -145,25 +144,12 @@ def _read_trajectory_csv(path) -> Trajectory:
     return Trajectory(dt, np.asarray(rows), t0=times[0])
 
 
-def _predict_free_run(model, n_steps: int, dt: float) -> Trajectory:
-    if isinstance(model, EsnModel):
-        return esn.predict_autonomous(model, n_steps, dt)
-    return ngrc.predict_autonomous(model, n_steps, dt)
-
-
 def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    kind = "ref_train" if args.state == "train" else "ref_plant"
-    params = cfg.train_params() if args.state == "train" else cfg.plant_params()
-    rng = np.random.default_rng(
-        derive_seed_sequence(cfg.master_seed, kind, 0, 0, 0)
-    )
-    u0 = relax_to_attractor(
-        random_initial_state(rng), params, cfg.integrator(), cfg.transient_steps
-    )
     steps = args.steps if args.steps is not None else cfg.horizon
     if steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {steps}")
-    traj = simulate(u0, params, cfg.integrator(), steps)
+    kind = "ref_train" if args.state == "train" else "ref_plant"
+    traj = attractor_series(cfg, kind, 0, 0, steps)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
     write_trajectory_csv(path, traj, timestamp=not args.no_timestamp)
@@ -185,7 +171,7 @@ def _cmd_predict(args, cfg: ExperimentConfig) -> int:
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
     model = load_model(args.model)
-    traj = _predict_free_run(model, steps, cfg.dt)
+    traj = free_run(model.stepper(), steps, cfg.dt)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "prediction.csv")
     write_trajectory_csv(path, traj, timestamp=not args.no_timestamp)
@@ -205,20 +191,23 @@ def _cmd_control(args, cfg: ExperimentConfig) -> int:
         ("forces", report.forces),
     ):
         write_trajectory_csv(os.path.join(args.out, f"{name}.csv"), traj, stamp)
+    climates = (
+        ("reference", report.reference_climate),
+        ("uncontrolled", report.uncontrolled_climate),
+        ("controlled", report.controlled_climate),
+    )
+    for name, stats in climates:
+        print(
+            f"{name:>12}: lambda_max={stats.lambda_max:.4f} "
+            f"corr_dim={stats.corr_dim:.4f}"
+        )
     summary_path = os.path.join(args.out, "climate_summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "lambda_max", "corr_dim"])
-        for name, stats in (
-            ("reference", report.reference_climate),
-            ("uncontrolled", report.uncontrolled_climate),
-            ("controlled", report.controlled_climate),
-        ):
-            writer.writerow([name, repr(stats.lambda_max), repr(stats.corr_dim)])
-            print(
-                f"{name:>12}: lambda_max={stats.lambda_max:.4f} "
-                f"corr_dim={stats.corr_dim:.4f}"
-            )
+    write_csv(
+        summary_path,
+        ["series", "lambda_max", "corr_dim"],
+        ([name, stats.lambda_max, stats.corr_dim] for name, stats in climates),
+        timestamp=False,
+    )
     print(f"wrote trajectories and {summary_path}")
     return 0
 
@@ -229,11 +218,18 @@ def _cmd_metrics(args, cfg: ExperimentConfig) -> int:
     print(f"lambda_max={stats.lambda_max:.6f}")
     print(f"corr_dim={stats.corr_dim:.6f}")
     os.makedirs(args.out, exist_ok=True)
-    write_lyapunov_diagnostics_csv(
-        os.path.join(args.out, "lyapunov_diagnostics.csv"), stats.lyap_diag
+    lyap, gp = stats.lyap_diag, stats.gp_diag
+    write_csv(
+        os.path.join(args.out, "lyapunov_diagnostics.csv"),
+        ["step", "mean_log_distance"],
+        zip(lyap.offsets.tolist(), lyap.mean_log_dist.tolist()),
+        timestamp=False,
     )
-    write_gp_diagnostics_csv(
-        os.path.join(args.out, "gp_diagnostics.csv"), stats.gp_diag
+    write_csv(
+        os.path.join(args.out, "gp_diagnostics.csv"),
+        ["r", "c"],
+        zip(gp.r.tolist(), gp.c.tolist()),
+        timestamp=False,
     )
     return 0
 
@@ -259,26 +255,27 @@ def _cmd_snapshot(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "train": _cmd_train,
+    "predict": _cmd_predict,
+    "control": _cmd_control,
+    "metrics": _cmd_metrics,
+    "snapshot": _cmd_snapshot,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, spec = _load_setup(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        if args.command == "train":
-            return _cmd_train(args, cfg)
-        if args.command == "predict":
-            return _cmd_predict(args, cfg)
-        if args.command == "control":
-            return _cmd_control(args, cfg)
-        if args.command == "metrics":
-            return _cmd_metrics(args, cfg)
-        if args.command == "sweep":
-            return _cmd_sweep(args, cfg, spec)
-        if args.command == "snapshot":
-            return _cmd_snapshot(args, cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except FileNotFoundError as exc:
+        # bound and finiteness checks catch every overflow and NaN; numpy's
+        # warnings about them would only add lines to the one-line report
+        with np.errstate(all="ignore"):
+            if args.command == "sweep":
+                return _cmd_sweep(args, cfg, spec)
+            return _COMMANDS[args.command](args, cfg)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
@@ -288,7 +285,9 @@ def main(argv=None) -> int:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
+        print(
+            f"divergence: {exc} (phase {exc.phase}, step {exc.step})", file=sys.stderr
+        )
         return 3
 
 

@@ -4,12 +4,18 @@ The plant runs under altered parameters while a trained predictor plays out,
 fully autonomously, how the system would have evolved in its original
 regime.  Each sampling interval the difference between the actual and the
 hypothetical state is injected as a constant force, scaled by K = 1/dt.
+
+Both predictor kinds are driven through one interface: ``model.stepper(bound)``
+returns a :class:`Stepper` whose ``step()`` emits the next ``dim``-vector
+and raises DivergenceError (phase "predict") once a component leaves
+``bound``.  :func:`free_run` and :func:`run_control` take a stepper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -19,9 +25,19 @@ from .dynamics import (
     Trajectory,
     _advance_interval,
 )
-from .errors import DivergenceError
+from .errors import DIVERGENCE_BOUND, DivergenceError
 
-__all__ = ["ControlConfig", "ControlRun", "compute_force", "run_control"]
+__all__ = [
+    "ControlConfig", "ControlRun", "Stepper", "compute_force", "free_run", "run_control",
+]
+
+
+class Stepper(Protocol):
+    """Autonomous one-step generator returned by ``model.stepper(bound)``."""
+
+    dim: int
+
+    def step(self) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -41,7 +57,7 @@ class ControlConfig:
     K: float = 20.0
     n_steps: int = 10_000
     force_sign: float = 1.0
-    divergence_bound: float = 1e3
+    divergence_bound: float = DIVERGENCE_BOUND
 
     def __post_init__(self):
         if not math.isfinite(self.K):
@@ -73,19 +89,33 @@ def compute_force(u, v, K: float) -> np.ndarray:
     return K * (np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
 
 
+def free_run(stepper: Stepper, n_steps: int, dt: float) -> Trajectory:
+    """The next ``n_steps`` outputs of ``stepper`` as a (n_steps, dim) series.
+
+    Raises:
+        DivergenceError: if any emitted sample leaves the stepper's bound.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    out = np.empty((n_steps, stepper.dim))
+    for i in range(n_steps):
+        out[i] = stepper.step()
+    return Trajectory(dt, out)
+
+
 def run_control(
-    predictor,
+    stepper: Stepper,
     u0,
     cfg: ControlConfig,
     icfg: IntegratorConfig,
 ) -> ControlRun:
-    """Drive the plant under ``cfg.plant_params`` against the predictor.
+    """Drive the plant under ``cfg.plant_params`` against a predictor.
 
-    ``predictor`` is a trained model exposing ``stepper()`` (or a stepper
-    itself); it must be synchronized so its first emitted sample continues
-    the training data.  ``u0`` is the plant state at that same moment.  Per
-    interval the force is computed from the current pair (u, v), held
-    constant across the interval, and the predictor advances one step.
+    ``stepper`` comes from a trained model's ``stepper()``; its first
+    emitted sample must continue the training data.  ``u0`` is the plant
+    state at that same moment.  Per interval the force is computed from the
+    current pair (u, v), held constant across the interval, and the
+    predictor advances one step.
 
     With K=0 the injected force vanishes and the plant path is bit-identical
     to an unforced simulation from u0.
@@ -100,7 +130,6 @@ def run_control(
         DivergenceError: plant leaving ``divergence_bound`` (phase
             "control") or predictor divergence (phase "predict").
     """
-    stepper = predictor.stepper() if hasattr(predictor, "stepper") else predictor
     p = cfg.plant_params
     n = cfg.n_steps
     sign_k = cfg.force_sign * cfg.K

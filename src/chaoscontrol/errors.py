@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# magnitude beyond which a predictor or plant state counts as diverged
+DIVERGENCE_BOUND = 1e3
+
 
 class ChaosControlError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,14 +34,18 @@ class DivergenceError(ChaosControlError):
         self.step = step
 
 
-def within_bound(v, bound: float) -> bool:
-    """True when every component c of the array v satisfies |c| <= bound.
+def check_prediction(v, bound: float, step: int) -> None:
+    """Raise DivergenceError (phase "predict") unless every |c| <= bound.
 
-    NaN and inf fail the comparison, so they count as out of bound.  Plain
-    Python floats make this several times cheaper than numpy reductions on
-    the 3-vectors a predictor emits each step.
+    ``v`` is the array a predictor emits at ``step``.  NaN and inf fail the
+    comparison, so they count as out of bound.  Plain Python floats make
+    this several times cheaper than numpy reductions on the 3-vectors a
+    predictor emits each step.
     """
-    return all(abs(c) <= bound for c in v.tolist())
+    if not all(abs(c) <= bound for c in v.tolist()):
+        raise DivergenceError(
+            f"autonomous prediction left |v| <= {bound:g}", phase="predict", step=step
+        )
 
 
 class IllConditionedError(ChaosControlError):

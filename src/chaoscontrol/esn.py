@@ -16,10 +16,10 @@ import scipy.sparse as sparse
 
 from .dynamics import Trajectory
 from .errors import (
-    DivergenceError,
+    DIVERGENCE_BOUND,
     InsufficientDataError,
     ReservoirSamplingError,
-    within_bound,
+    check_prediction,
 )
 from .ridge import ridge_fit
 
@@ -30,11 +30,9 @@ __all__ = [
     "advance_state",
     "augmented_state",
     "train",
-    "predict_autonomous",
 ]
 
 MAX_SAMPLING_ATTEMPTS = 10
-DEFAULT_DIVERGENCE_BOUND = 1e3
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class EsnModel:
     def trained(self) -> bool:
         return self.P is not None
 
-    def stepper(self, bound: float = DEFAULT_DIVERGENCE_BOUND) -> "_EsnStepper":
+    def stepper(self, bound: float = DIVERGENCE_BOUND) -> "_EsnStepper":
         """Autonomous one-step generator starting from the current state."""
         if not self.trained:
             raise ValueError("model must be trained before prediction")
@@ -212,36 +210,12 @@ class _EsnStepper:
         self._r = model.r.copy()
         self._bound = bound
         self._step = 0
+        self.dim = self._P.shape[0]
 
     def step(self) -> np.ndarray:
         """Emit v = P {r, r^2}, then feed v back as the next input."""
         v = self._P @ augmented_state(self._r)
         self._step += 1
-        if not within_bound(v, self._bound):
-            raise DivergenceError(
-                f"autonomous prediction left |v| <= {self._bound:g}",
-                phase="predict", step=self._step,
-            )
+        check_prediction(v, self._bound, self._step)
         self._r = np.tanh(self._A @ self._r + self._W_in @ v)
         return v
-
-
-def predict_autonomous(
-    m: EsnModel,
-    n_steps: int,
-    dt: float,
-    bound: float = DEFAULT_DIVERGENCE_BOUND,
-    t0: float = 0.0,
-) -> Trajectory:
-    """Run the closed loop for ``n_steps`` steps from the synchronized state.
-
-    Raises:
-        DivergenceError: if any emitted sample exceeds ``bound``.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    stepper = m.stepper(bound)
-    out = np.empty((n_steps, m.config.input_dim))
-    for i in range(n_steps):
-        out[i] = stepper.step()
-    return Trajectory(dt, out, t0=t0)

@@ -28,7 +28,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence, Union
 
@@ -69,11 +69,13 @@ __all__ = [
     "PREDICTOR_KINDS",
     "REFERENCE_KINDS",
     "derive_seed_sequence",
+    "attractor_series",
     "prepare_trained_model",
     "run_single",
     "run_sweep",
     "export_training_snapshot",
     "summarize_rows",
+    "write_csv",
     "write_trajectory_csv",
     "write_sweep_csv",
     "write_summary_csv",
@@ -291,16 +293,24 @@ def _derived_int(master_seed: int, kind: str, n: int, realization: int, stream: 
 # shared pipeline pieces
 
 
-def _training_series(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> Trajectory:
-    """The n-sample seeded training series of one cell."""
+def attractor_series(
+    cfg: ExperimentConfig, kind: str, n: int, realization: int, n_steps: int
+) -> Trajectory:
+    """Seeded attractor series of one cell, ``n_steps`` intervals long.
+
+    The initial condition comes from the cell's trajectory stream; it is
+    relaxed onto the attractor and then simulated, under the plant
+    parameters for ``ref_plant`` and the training parameters otherwise.
+    A cell's training series is ``attractor_series(cfg, kind, n, r, n - 1)``.
+    """
+    params = cfg.plant_params() if kind == "ref_plant" else cfg.train_params()
     rng = np.random.default_rng(
         derive_seed_sequence(cfg.master_seed, kind, n, realization, _STREAM_TRAJECTORY)
     )
     u0 = relax_to_attractor(
-        random_initial_state(rng), cfg.train_params(), cfg.integrator(),
-        cfg.transient_steps,
+        random_initial_state(rng), params, cfg.integrator(), cfg.transient_steps
     )
-    return simulate(u0, cfg.train_params(), cfg.integrator(), n - 1)
+    return simulate(u0, params, cfg.integrator(), n_steps)
 
 
 def _train_predictor(
@@ -324,7 +334,7 @@ def _controlled_run(
     ctl = ControlConfig(
         plant_params=cfg.plant_params(), K=cfg.control_gain, n_steps=cfg.horizon
     )
-    return run_control(model, u0, ctl, cfg.integrator())
+    return run_control(model.stepper(), u0, ctl, cfg.integrator())
 
 
 def prepare_trained_model(
@@ -336,7 +346,7 @@ def prepare_trained_model(
     run_single/sweep cell with the same coordinates trains on.
     """
     n = cfg.training_steps
-    training = _training_series(cfg, cfg.kind, n, realization)
+    training = attractor_series(cfg, cfg.kind, n, realization, n - 1)
     model = _train_predictor(cfg, cfg.kind, n, realization, training)
     return training, model
 
@@ -375,7 +385,7 @@ def run_single(cfg: ExperimentConfig, realization: int = 0) -> SingleRunReport:
     """
     integ = cfg.integrator()
     n = cfg.training_steps
-    training = _training_series(cfg, cfg.kind, n, realization)
+    training = attractor_series(cfg, cfg.kind, n, realization, n - 1)
     run = _controlled_run(cfg, cfg.kind, n, realization, training)
     reference = training
     if cfg.horizon > n - 1:
@@ -437,27 +447,16 @@ class SweepResult:
         raise KeyError((kind, n))
 
 
-def _reference_climate_cell(cfg: ExperimentConfig, kind: str, realization: int) -> ClimateStats:
-    params = cfg.train_params() if kind == "ref_train" else cfg.plant_params()
-    rng = np.random.default_rng(
-        derive_seed_sequence(cfg.master_seed, kind, 0, realization, _STREAM_TRAJECTORY)
-    )
-    u0 = relax_to_attractor(
-        random_initial_state(rng), params, cfg.integrator(), cfg.transient_steps
-    )
-    return climate_stats(simulate(u0, params, cfg.integrator(), cfg.horizon))
-
-
 def _run_cell(args) -> SweepRow:
     cfg, kind, n, realization = args
     lam = nu = float("nan")
     try:
         if kind in REFERENCE_KINDS:
-            stats = _reference_climate_cell(cfg, kind, realization)
+            series = attractor_series(cfg, kind, n, realization, cfg.horizon)
         else:
-            training = _training_series(cfg, kind, n, realization)
-            run = _controlled_run(cfg, kind, n, realization, training)
-            stats = climate_stats(run.controlled)
+            training = attractor_series(cfg, kind, n, realization, n - 1)
+            series = _controlled_run(cfg, kind, n, realization, training).controlled
+        stats = climate_stats(series)
         lam, nu = stats.lambda_max, stats.corr_dim
         status = "ok" if math.isfinite(lam) and math.isfinite(nu) else "degenerate"
     except DivergenceError:
@@ -584,48 +583,41 @@ def _header_lines(timestamp: bool) -> list:
     return [f"# generated {stamp}"]
 
 
+def write_csv(path, header: Sequence, rows, timestamp: bool) -> None:
+    """Write one header row and the data rows, after the optional stamp.
+
+    Pass floats as Python floats (``ndarray.tolist()``): ``csv`` writes
+    those as their repr, which round-trips exactly.  Rows end in CRLF, the
+    ``csv`` default; the stamp comment line ends in LF.
+    """
+    with open(path, "w", newline="") as fh:
+        for line in _header_lines(timestamp):
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _timed_rows(traj: Trajectory) -> list:
+    """[t, *sample] per sample, as Python floats."""
+    return np.column_stack([traj.times, traj.samples]).tolist()
+
+
 def write_trajectory_csv(path, traj: Trajectory, timestamp: bool = True) -> None:
     """Write a trajectory as t,x,y,z rows (repr-exact floats)."""
     if traj.dim != 3:
         raise ValueError("trajectory CSV schema is fixed at three components")
-    with open(path, "w", newline="") as fh:
-        for line in _header_lines(timestamp):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z"])
-        for t, row in zip(traj.times, traj.samples):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    write_csv(path, ["t", "x", "y", "z"], _timed_rows(traj), timestamp)
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow], timestamp: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in _header_lines(timestamp):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "N", "seed", "lambda_max", "corr_dim", "status"])
-        for r in rows:
-            writer.writerow(
-                [r.kind, r.n, r.seed, repr(r.lambda_max), repr(r.corr_dim), r.status]
-            )
+    header = ["kind", "N", "seed", "lambda_max", "corr_dim", "status"]
+    write_csv(path, header, map(astuple, rows), timestamp)
 
 
 def write_summary_csv(path, summary: Sequence[SummaryRow], timestamp: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in _header_lines(timestamp):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "N", "lambda_mean", "lambda_std", "nu_mean", "nu_std", "n_ok"]
-        )
-        for r in summary:
-            writer.writerow(
-                [
-                    r.kind, r.n,
-                    repr(r.lambda_mean), repr(r.lambda_std),
-                    repr(r.nu_mean), repr(r.nu_std),
-                    r.n_ok,
-                ]
-            )
+    header = ["kind", "N", "lambda_mean", "lambda_std", "nu_mean", "nu_std", "n_ok"]
+    write_csv(path, header, map(astuple, summary), timestamp)
 
 
 # --------------------------------------------------------------------------
@@ -647,7 +639,7 @@ def export_training_snapshot(
     """
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.training_steps
-    training = _training_series(cfg, cfg.kind, n, realization)
+    training = attractor_series(cfg, cfg.kind, n, realization, n - 1)
     if cfg.kind == "classic":
         boundary = cfg.washout_for(n)
         discard_phase = "washout"
@@ -656,16 +648,10 @@ def export_training_snapshot(
         discard_phase = "warmup"
 
     csv_path = os.path.join(out_dir, "training_snapshot.csv")
-    with open(csv_path, "w", newline="") as fh:
-        for line in _header_lines(timestamp):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z", "phase"])
-        for i, (t, row) in enumerate(zip(training.times, training.samples)):
-            phase = discard_phase if i < boundary else "train"
-            writer.writerow(
-                [repr(float(t))] + [repr(float(v)) for v in row] + [phase]
-            )
+    rows = _timed_rows(training)
+    for i, row in enumerate(rows):
+        row.append(discard_phase if i < boundary else "train")
+    write_csv(csv_path, ["t", "x", "y", "z", "phase"], rows, timestamp)
 
     times = training.times
     line_chart(

@@ -10,7 +10,6 @@ embedding is performed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "largest_lyapunov",
     "theiler_neighbours",
     "climate_stats",
-    "write_gp_diagnostics_csv",
-    "write_lyapunov_diagnostics_csv",
 ]
 
 
@@ -107,6 +104,7 @@ class LyapunovDiagnostics:
     r_squared: float
     valid_fraction: float
     few_neighbors: bool = False
+    degenerate: bool = False
 
 
 @dataclass
@@ -164,7 +162,8 @@ def correlation_dimension(
         raise InsufficientDataError("need at least 2 samples for pair counting")
 
     diam = _attractor_diameter(points)
-    if diam == 0.0:
+    # zero: a collapsed cloud; inf: squared distances overflow float64
+    if not 0.0 < diam < np.inf:
         diag = GpDiagnostics(
             r=np.array([]), c=np.array([]), slope=float("nan"),
             intercept=float("nan"), r_squared=0.0, n_pairs=0, degenerate=True,
@@ -194,13 +193,14 @@ def correlation_dimension(
     return slope, diag
 
 
-def _first_valid_neighbour(idx: np.ndarray, rows: np.ndarray, window: int):
+def _first_valid_neighbour(idx: np.ndarray, rows: np.ndarray, window: int, n: int):
     """Nearest candidate of each row more than ``window`` steps away.
 
-    ``idx`` holds each row's neighbour indices in ascending distance.
+    ``idx`` holds each row's neighbour indices in ascending distance, with
+    the k-d tree's "none found" index ``n`` where a distance overflows.
     Returns (neighbour index per row, whether the row has one).
     """
-    valid = np.abs(idx - rows[:, None]) > window
+    valid = (np.abs(idx - rows[:, None]) > window) & (idx < n)
     first = np.argmax(valid, axis=1)
     return idx[np.arange(len(rows)), first], valid.any(axis=1)
 
@@ -225,11 +225,11 @@ def theiler_neighbours(points: np.ndarray, window: int) -> tuple[np.ndarray, np.
     k_full = min(2 * window + 2, m)
     k = min(_FIRST_QUERY_K, k_full)
     _, idx = tree.query(points, k=k)
-    nb, has_valid = _first_valid_neighbour(idx, rows, window)
+    nb, has_valid = _first_valid_neighbour(idx, rows, window, m)
     redo = np.flatnonzero(~has_valid)
     if len(redo) and k < k_full:
         _, idx = tree.query(points[redo], k=k_full)
-        nb[redo], has_valid[redo] = _first_valid_neighbour(idx, redo, window)
+        nb[redo], has_valid[redo] = _first_valid_neighbour(idx, redo, window, m)
     return nb, has_valid
 
 
@@ -241,7 +241,10 @@ def largest_lyapunov(
     For every sample, the nearest neighbour at temporal distance greater
     than the Theiler window is tracked for ``follow_steps`` steps; the slope
     of the mean log separation over the fit window, divided by dt, is the
-    exponent.  Returns (lambda_max, diagnostics).
+    exponent.  Returns (lambda_max, diagnostics); a collapsed trajectory,
+    whose fit window holds fewer than two finite points because every
+    tracked pair sits at distance zero, gives nan and is flagged
+    ``degenerate`` rather than raised.
     """
     points = traj.samples
     n = points.shape[0]
@@ -267,14 +270,18 @@ def largest_lyapunov(
     lo, hi = cfg.fit_start, cfg.fit_end
     window = np.arange(lo, hi + 1)
     finite = np.isfinite(mean_log[window])
-    slope, intercept, r2 = _linear_fit(window[finite], mean_log[window][finite])
-    lam = slope / traj.dt
+    degenerate = np.count_nonzero(finite) < 2
+    if degenerate:
+        slope = intercept = float("nan")
+        r2 = 0.0
+    else:
+        slope, intercept, r2 = _linear_fit(window[finite], mean_log[window][finite])
     diag = LyapunovDiagnostics(
         offsets=offsets, mean_log_dist=mean_log, slope_per_step=slope,
         intercept=intercept, r_squared=r2, valid_fraction=valid_fraction,
-        few_neighbors=valid_fraction < 0.1,
+        few_neighbors=valid_fraction < 0.1, degenerate=degenerate,
     )
-    return lam, diag
+    return slope / traj.dt, diag
 
 
 def climate_stats(
@@ -288,20 +295,3 @@ def climate_stats(
     return ClimateStats(lambda_max=lam, corr_dim=nu,
                         lyap_diag=lyap_diag, gp_diag=gp_diag)
 
-
-def write_gp_diagnostics_csv(path, diag: GpDiagnostics) -> None:
-    """Write the correlation-integral curve as r,c columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "c"])
-        for r, c in zip(diag.r, diag.c):
-            writer.writerow([repr(float(r)), repr(float(c))])
-
-
-def write_lyapunov_diagnostics_csv(path, diag: LyapunovDiagnostics) -> None:
-    """Write the divergence curve as step,mean_log_distance columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_log_distance"])
-        for s, d in zip(diag.offsets, diag.mean_log_dist):
-            writer.writerow([int(s), repr(float(d))])

@@ -23,6 +23,7 @@ so a loaded model continues exactly where training ended.
 from __future__ import annotations
 
 import io
+import math
 from typing import Union
 
 import numpy as np
@@ -153,7 +154,9 @@ def _read_arrays(spec: str, payload: bytes) -> dict:
         if not sep:
             raise ConfigError(f"malformed arrays entry: {item!r}")
         shape = tuple(int(d) for d in dims.split("x"))
-        count = int(np.prod(shape))
+        if any(d < 0 for d in shape):
+            raise ConfigError(f"negative dimension in arrays entry: {item!r}")
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise ConfigError("model payload shorter than declared shapes")
@@ -164,6 +167,17 @@ def _read_arrays(spec: str, payload: bytes) -> dict:
     if offset != len(payload):
         raise ConfigError("model payload longer than declared shapes")
     return arrays
+
+
+def _check_shapes(arrays: dict, expected: dict) -> None:
+    """Every named array must have the shape the header's config implies."""
+    for name, shape in expected.items():
+        got = arrays[name].shape
+        if got != shape:
+            raise ConfigError(
+                f"array {name} is {'x'.join(map(str, got))}, the header "
+                f"implies {'x'.join(map(str, shape))}"
+            )
 
 
 def load_model(path) -> Union[EsnModel, NgrcModel]:
@@ -186,6 +200,11 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
                 seed=int(fields["seed"]),
                 input_dim=int(fields["input_dim"]),
             )
+            d, n_in = cfg.reservoir_dim, cfg.input_dim
+            _check_shapes(arrays, {
+                "A": (d, d), "W_in": (d, n_in), "P": (n_in, 2 * d), "r": (d,),
+                "last_sample": (n_in,),
+            })
             return EsnModel(
                 config=cfg,
                 A=sparse.csr_matrix(arrays["A"]),
@@ -205,20 +224,25 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
                 input_dim=int(fields["input_dim"]),
                 monomials=_decode_monomials(fields["monomials"]),
             )
-            if lib != build_library(lib.input_dim, cfg.orders):
+            # count first: a corrupt order or input_dim could ask
+            # build_library for an astronomically large table
+            n_monomials = sum(math.comb(lib.input_dim + o - 1, o) for o in cfg.orders)
+            if len(lib) != n_monomials or lib != build_library(lib.input_dim, cfg.orders):
                 raise ConfigError(
                     "stored exponent table does not match the declared orders"
                 )
-            w_out = arrays["W_out"]
-            if w_out.shape[1] != len(lib):
+            if lib.input_dim % cfg.k:
                 raise ConfigError(
-                    f"readout width {w_out.shape[1]} does not match the "
-                    f"{len(lib)}-monomial exponent table"
+                    f"input_dim {lib.input_dim} is not a multiple of k={cfg.k}"
                 )
+            dim = lib.input_dim // cfg.k
+            _check_shapes(arrays, {
+                "W_out": (dim, len(lib)), "tap_buffer": (cfg.tap_span, dim),
+            })
             return NgrcModel(
                 config=cfg,
                 library=lib,
-                W_out=w_out,
+                W_out=arrays["W_out"],
                 tap_buffer=arrays["tap_buffer"],
             )
     except KeyError as exc:

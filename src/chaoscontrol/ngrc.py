@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import DivergenceError, InsufficientDataError, within_bound
+from .errors import DIVERGENCE_BOUND, InsufficientDataError, check_prediction
 from .ridge import ridge_fit
 
 __all__ = [
@@ -30,10 +30,7 @@ __all__ = [
     "poly_features",
     "build_design",
     "train",
-    "predict_autonomous",
 ]
-
-DEFAULT_DIVERGENCE_BOUND = 1e3
 
 
 @dataclass(frozen=True)
@@ -139,28 +136,16 @@ class NgrcModel:
     def trained(self) -> bool:
         return self.W_out is not None
 
-    @property
-    def last_sample(self) -> np.ndarray:
-        return self.tap_buffer[-1]
-
-    def stepper(
-        self,
-        seed_history: Optional[Trajectory] = None,
-        bound: float = DEFAULT_DIVERGENCE_BOUND,
-    ) -> "_NgrcStepper":
-        """Autonomous stepper seeded from ``seed_history`` or the stored taps."""
+    def stepper(self, bound: float = DIVERGENCE_BOUND) -> "_NgrcStepper":
+        """Autonomous one-step generator continuing from the stored taps."""
         if not self.trained:
             raise ValueError("model must be trained before prediction")
         span = self.config.tap_span
-        if seed_history is None:
-            history = self.tap_buffer
-        else:
-            history = seed_history.samples
-        if history is None or len(history) < span:
+        if self.tap_buffer is None or len(self.tap_buffer) < span:
             raise InsufficientDataError(
                 f"prediction needs at least {span} trailing samples"
             )
-        return _NgrcStepper(self, history[-span:], bound)
+        return _NgrcStepper(self, self.tap_buffer[-span:], bound)
 
 
 def shift_expand(history: Trajectory, t: int, k: int, s: int) -> np.ndarray:
@@ -261,55 +246,26 @@ class _NgrcStepper:
         self._table = model.library.index_table
         self._W = model.W_out
         self._buf = np.array(history, dtype=float)  # ring of tap_span samples
-        self._dim = self._buf.shape[1]
-        if self._k * self._dim != model.library.input_dim:
+        self.dim = self._buf.shape[1]
+        if self._k * self.dim != model.library.input_dim:
             raise ValueError(
-                f"{self._k} taps of {self._dim} variables do not match a library "
+                f"{self._k} taps of {self.dim} variables do not match a library "
                 f"over {model.library.input_dim}"
             )
         # taps newest first, then the 1.0 the padded index table points at
-        self._taps = np.ones(self._k * self._dim + 1)
+        self._taps = np.ones(self._k * self.dim + 1)
         self._bound = bound
         self._step = 0
 
     def step(self) -> np.ndarray:
-        d, s = self._dim, self._s
+        d, s = self.dim, self._s
         for i in range(self._k):
             self._taps[i * d : (i + 1) * d] = self._buf[-1 - i * s]
         v = self._buf[-1] + self._W @ _products(self._taps, self._table)
         self._step += 1
-        if not within_bound(v, self._bound):
-            raise DivergenceError(
-                f"autonomous prediction left |v| <= {self._bound:g}",
-                phase="predict", step=self._step,
-            )
+        check_prediction(v, self._bound, self._step)
         if len(self._buf) > 1:
             self._buf[:-1] = self._buf[1:]
         self._buf[-1] = v
         return v
 
-
-def predict_autonomous(
-    m: NgrcModel,
-    n_steps: int,
-    dt: float,
-    seed_history: Optional[Trajectory] = None,
-    bound: float = DEFAULT_DIVERGENCE_BOUND,
-    t0: float = 0.0,
-) -> Trajectory:
-    """Run the closed loop for ``n_steps`` steps.
-
-    The tap buffer is seeded from ``seed_history`` when given, otherwise from
-    the trailing training samples stored on the model.
-
-    Raises:
-        DivergenceError: if any emitted sample exceeds ``bound``.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    stepper = m.stepper(seed_history, bound)
-    dim = m.library.input_dim // m.config.k
-    out = np.empty((n_steps, dim))
-    for i in range(n_steps):
-        out[i] = stepper.step()
-    return Trajectory(dt, out, t0=t0)

@@ -22,10 +22,7 @@ from chaoscontrol import (
     climate_stats,
     correlation_dimension,
     largest_lyapunov,
-    random_initial_state,
-    relax_to_attractor,
     run_control,
-    simulate,
 )
 from chaoscontrol import esn, ngrc
 from chaoscontrol.cli import main as cli_main
@@ -33,7 +30,7 @@ from chaoscontrol.dynamics import rk4_step
 from chaoscontrol.experiments import (
     ExperimentConfig,
     SweepSpec,
-    derive_seed_sequence,
+    attractor_series,
     run_sweep,
 )
 from chaoscontrol.ngrc import build_library, poly_features, shift_expand
@@ -64,21 +61,11 @@ def _in_x_band(row) -> bool:
     )
 
 
-def _reference_climate(cfg: ExperimentConfig, kind: str, params):
-    rng = np.random.default_rng(
-        derive_seed_sequence(cfg.master_seed, kind, 0, 0, 0)
-    )
-    u0 = relax_to_attractor(
-        random_initial_state(rng), params, cfg.integrator(), cfg.transient_steps
-    )
-    return climate_stats(simulate(u0, params, cfg.integrator(), 10_000))
-
-
 def test_a1_regime_climates():
     cfg = ExperimentConfig(master_seed=0)
     t0 = time.monotonic()
-    x = _reference_climate(cfg, "ref_train", cfg.train_params())
-    y = _reference_climate(cfg, "ref_plant", cfg.plant_params())
+    x = climate_stats(attractor_series(cfg, "ref_train", 0, 0, 10_000))
+    y = climate_stats(attractor_series(cfg, "ref_plant", 0, 0, 10_000))
     elapsed = time.monotonic() - t0
     ok = (
         _in_band(x.lambda_max, X_LAMBDA)
@@ -303,11 +290,8 @@ def test_a8_integrator_order_and_zero_gain():
     order = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
 
     cfg = ExperimentConfig(master_seed=0)
-    rng = np.random.default_rng(derive_seed_sequence(0, "ref_plant", 0, 0, 0))
-    u0 = relax_to_attractor(
-        random_initial_state(rng), cfg.plant_params(), cfg.integrator(),
-        cfg.transient_steps,
-    )
+    plain = attractor_series(cfg, "ref_plant", 0, 0, 400)
+    u0 = plain.samples[0]
 
     class _FrozenStepper:
         def step(self):
@@ -319,7 +303,6 @@ def test_a8_integrator_order_and_zero_gain():
         ControlConfig(plant_params=cfg.plant_params(), K=0.0, n_steps=400),
         cfg.integrator(),
     )
-    plain = simulate(u0, cfg.plant_params(), cfg.integrator(), 400)
     identical = bool(
         np.array_equal(run.controlled.samples, plain.samples)
         and not np.any(run.forces.samples)

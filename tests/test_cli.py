@@ -1,6 +1,14 @@
+import re
+
+import numpy as np
 import pytest
 
 from chaoscontrol.cli import main
+from chaoscontrol.control import free_run
+from chaoscontrol.dynamics import Trajectory
+from chaoscontrol.errors import DivergenceError
+from chaoscontrol.experiments import write_trajectory_csv
+from chaoscontrol.modelio import load_model
 
 
 def run_cli(*argv):
@@ -51,7 +59,26 @@ def test_train_predict_roundtrip_and_divergence_exit_3(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert code == 3
-    assert "divergence" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    match = re.fullmatch(r"divergence: .+ \(phase predict, step (\d+)\)\n", err)
+    assert match is not None, err
+    # the reported step is the free run's first out-of-bound sample
+    with pytest.raises(DivergenceError) as info:
+        free_run(load_model(model_path).stepper(), 600, 0.05)
+    assert int(match.group(1)) == info.value.step
+
+
+@pytest.mark.parametrize("kind", ["classic", "ngrc"])
+def test_predict_zero_steps_writes_header_only(tmp_path, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind = {kind}\ntraining_steps = 900\n")
+    assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    assert run_cli(
+        "predict", "--model", str(tmp_path / "model.ccm"), "--steps", "0",
+        "--no-timestamp", "--out", str(tmp_path),
+    ) == 0
+    assert (tmp_path / "prediction.csv").read_bytes() == b"t,x,y,z\r\n"
 
 
 def test_predict_writes_short_free_run(tmp_path):
@@ -80,6 +107,22 @@ def test_metrics_prints_and_writes_diagnostics(tmp_path, capsys):
     gp = (tmp_path / "gp_diagnostics.csv").read_text().splitlines()
     assert lyap[0] == "step,mean_log_distance"
     assert gp[0] == "r,c"
+
+
+def test_metrics_on_collapsed_series_reports_nan(tmp_path, capsys):
+    path = tmp_path / "still.csv"
+    write_trajectory_csv(path, Trajectory(0.05, np.tile([1.0, 2.0, 3.0], (300, 1))))
+    assert run_cli("metrics", "--input", str(path), "--out", str(tmp_path)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["lambda_max=nan", "corr_dim=nan"]
+
+
+def test_metrics_rejects_non_utf8_csv(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,x,y,z\r\n0.0,1.0,2.0,\xff\r\n")
+    assert run_cli("metrics", "--input", str(path), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
 
 
 def test_metrics_rejects_non_trajectory_csv(tmp_path):
@@ -123,8 +166,13 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
         (None, ["simulate", "--steps", "0"], "config error: --steps must be >= 1"),
         (["train", "--kind", "ngrc"], ["predict", "--model", "{out}/model.ccm", "--steps", "-1"],
          "config error: --steps must be >= 0"),
+        (None, ["metrics", "--input", "{out}"], "error: [Errno"),
+        (None, ["predict", "--model", "{out}"], "error: [Errno"),
     ],
-    ids=["metrics-short-series", "simulate-zero-steps", "predict-negative-steps"],
+    ids=[
+        "metrics-short-series", "simulate-zero-steps", "predict-negative-steps",
+        "metrics-directory-input", "predict-directory-model",
+    ],
 )
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, message):
     if prepare is not None:

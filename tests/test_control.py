@@ -21,6 +21,8 @@ from conftest import INTEGRATOR, PLANT_PARAMS, TRAIN_PARAMS, attractor_trajector
 class ReplayStepper:
     """Oracle predictor that plays back a precomputed trajectory."""
 
+    dim = 3
+
     def __init__(self, samples):
         self._it = iter(np.asarray(samples, dtype=float))
 
@@ -125,7 +127,7 @@ def test_forces_stay_small_without_regime_change(train_run_short):
     esn_train(m, train_run_short)
     u0 = step_rk4(train_run_short.samples[-1], TRAIN_PARAMS, INTEGRATOR)
     cfg = ControlConfig(plant_params=TRAIN_PARAMS, K=20.0, n_steps=500)
-    run = run_control(m, u0, cfg, INTEGRATOR)
+    run = run_control(m.stepper(), u0, cfg, INTEGRATOR)
     mean_force = np.linalg.norm(run.forces.samples, axis=1).mean()
     diameter = np.ptp(train_run_short.samples, axis=0).max()
     assert mean_force < 0.1 * cfg.K * diameter

@@ -10,7 +10,8 @@ from chaoscontrol.errors import (
     InsufficientDataError,
     ReservoirSamplingError,
 )
-from chaoscontrol.esn import advance_state, augmented_state, predict_autonomous, train
+from chaoscontrol.control import free_run
+from chaoscontrol.esn import advance_state, augmented_state, train
 
 from oracles import ridge_normal_equations
 
@@ -163,17 +164,17 @@ def test_prediction_contract(train_run_short):
     m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
     train(m, train_run_short)
 
-    empty = predict_autonomous(m, 0, 0.05)
-    assert len(empty) == 0
+    empty = free_run(m.stepper(), 0, 0.05)
+    assert empty.samples.shape == (0, 3)
 
     # first emitted sample is the readout of the post-training state
     expected_first = m.P @ augmented_state(m.r)
-    pred = predict_autonomous(m, 20, 0.05)
+    pred = free_run(m.stepper(), 20, 0.05)
     assert len(pred) == 20
     np.testing.assert_array_equal(pred.samples[0], expected_first)
 
     # prediction clones model state: a second run must repeat the first
-    again = predict_autonomous(m, 20, 0.05)
+    again = free_run(m.stepper(), 20, 0.05)
     np.testing.assert_array_equal(pred.samples, again.samples)
 
 
@@ -181,7 +182,7 @@ def test_prediction_divergence_bound(train_run_short):
     m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
     train(m, train_run_short)
     with pytest.raises(DivergenceError) as info:
-        predict_autonomous(m, 50, 0.05, bound=1e-6)
+        free_run(m.stepper(bound=1e-6), 50, 0.05)
     assert info.value.phase == "predict"
 
 

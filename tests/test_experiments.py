@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from chaoscontrol import (
-    climate_stats,
-    random_initial_state,
-    relax_to_attractor,
-    simulate,
-)
+from chaoscontrol import climate_stats, simulate
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.experiments import (
     ExperimentConfig,
     SweepRow,
     SweepSpec,
+    attractor_series,
     config_from_mapping,
     derive_seed_sequence,
     export_training_snapshot,
@@ -143,14 +139,7 @@ def test_plant_reference_aggregate_climate():
     cfg = ExperimentConfig(master_seed=0)
     lams, nus = [], []
     for realization in range(6):
-        rng = np.random.default_rng(
-            derive_seed_sequence(cfg.master_seed, "ref_plant", 0, realization, 0)
-        )
-        u0 = relax_to_attractor(
-            random_initial_state(rng), cfg.plant_params(), cfg.integrator(),
-            cfg.transient_steps,
-        )
-        stats = climate_stats(simulate(u0, cfg.plant_params(), cfg.integrator(), 10_000))
+        stats = climate_stats(attractor_series(cfg, "ref_plant", 0, realization, 10_000))
         lams.append(stats.lambda_max)
         nus.append(stats.corr_dim)
     assert 1.56 <= np.mean(nus) <= 1.82

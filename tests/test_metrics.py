@@ -11,13 +11,10 @@ from chaoscontrol import (
     largest_lyapunov,
     simulate,
 )
+from chaoscontrol.cli import main as cli_main
 from chaoscontrol.errors import InsufficientDataError
-from chaoscontrol.metrics import (
-    _FIRST_QUERY_K,
-    theiler_neighbours,
-    write_gp_diagnostics_csv,
-    write_lyapunov_diagnostics_csv,
-)
+from chaoscontrol.experiments import write_trajectory_csv
+from chaoscontrol.metrics import _FIRST_QUERY_K, theiler_neighbours
 
 from conftest import PLANT_PARAMS, attractor_trajectory
 from oracles import benettin_lyapunov, pair_counts, theiler_nearest_neighbours
@@ -60,6 +57,31 @@ def test_collapsed_cloud_flagged_degenerate():
     traj = Trajectory(0.05, np.tile([1.0, 2.0, 3.0], (500, 1)))
     nu, diag = correlation_dimension(traj, GpConfig())
     assert diag.degenerate
+
+
+def test_collapsed_series_exponent_flagged_degenerate():
+    # every neighbour distance is zero, so the divergence curve is all -inf
+    traj = Trajectory(0.05, np.tile([1.0, 2.0, 3.0], (300, 1)))
+    lam, diag = largest_lyapunov(traj, RosensteinConfig())
+    assert np.isnan(lam) and diag.degenerate
+    assert np.all(diag.mean_log_dist == -np.inf)
+    stats = climate_stats(traj)
+    assert np.isnan(stats.lambda_max) and np.isnan(stats.corr_dim)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_sample_is_nobodys_neighbour():
+    # squared distances to a 1e300 sample overflow; the k-d tree then
+    # answers with its "none found" index n, which is not a neighbour
+    points = attractor_trajectory(PLANT_PARAMS, 299, seed=2).samples.copy()
+    points[100] = 1e300
+    nb, has_valid = theiler_neighbours(points, 50)
+    assert not has_valid[100]
+    assert np.all(nb[has_valid] < len(points))
+    # every tracked offset passes the sample, so both fits are degenerate
+    stats = climate_stats(Trajectory(0.05, points))
+    assert stats.lyap_diag.degenerate and np.isnan(stats.lambda_max)
+    assert stats.gp_diag.degenerate and np.isnan(stats.corr_dim)
 
 
 def _spiral(n):
@@ -199,15 +221,17 @@ def test_climate_stats_bundle(lorenz_classic):
     assert stats.lambda_max > 0
     assert 1.5 < stats.corr_dim < 2.5
     assert stats.lyap_diag is not None and stats.gp_diag is not None
+    assert not stats.lyap_diag.degenerate and not stats.gp_diag.degenerate
     assert stats.gp_diag.r_squared > 0.9
 
 
 def test_diagnostics_csv_round_trip(tmp_path, lorenz_classic):
     stats = climate_stats(lorenz_classic)
-    gp_path = tmp_path / "gp.csv"
-    ly_path = tmp_path / "lyap.csv"
-    write_gp_diagnostics_csv(gp_path, stats.gp_diag)
-    write_lyapunov_diagnostics_csv(ly_path, stats.lyap_diag)
+    series = tmp_path / "series.csv"
+    write_trajectory_csv(series, lorenz_classic)
+    assert cli_main(["metrics", "--input", str(series), "--out", str(tmp_path)]) == 0
+    gp_path = tmp_path / "gp_diagnostics.csv"
+    ly_path = tmp_path / "lyapunov_diagnostics.csv"
     r, c = np.loadtxt(gp_path, delimiter=",", skiprows=1, unpack=True)
     np.testing.assert_array_equal(r, stats.gp_diag.r)
     np.testing.assert_array_equal(c, stats.gp_diag.c)

@@ -92,13 +92,24 @@ def test_truncated_payload_rejected(tmp_path, trained_esn):
 
 
 @pytest.mark.parametrize(
-    "old, new",
-    [(b"reservoir_dim=40", b"reservoir_dim=abc"), (b"kind=classic", b"kind=cl\xffssic")],
-    ids=["malformed-value", "non-utf8-header"],
+    "model, old, new",
+    [
+        ("trained_esn", b"reservoir_dim=40", b"reservoir_dim=abc"),
+        ("trained_esn", b"kind=classic", b"kind=cl\xffssic"),
+        # same byte counts as the true shapes, so the payload still parses
+        ("trained_esn", b",P:3x80,", b",P:6x40,"),
+        ("trained_esn", b",r:40,", b",r:4x10,"),
+        ("trained_esn", b",W_in:40x3,", b",W_in:120x1,"),
+        ("trained_ngrc", b",tap_buffer:1x3", b",tap_buffer:3x1"),
+    ],
+    ids=[
+        "malformed-value", "non-utf8-header", "readout-shape", "state-shape",
+        "input-map-shape", "tap-buffer-shape",
+    ],
 )
-def test_malformed_header_is_config_error(tmp_path, capsys, trained_esn, old, new):
-    path = tmp_path / "esn.ccm"
-    save_model(path, trained_esn)
+def test_malformed_header_is_config_error(tmp_path, capsys, request, model, old, new):
+    path = tmp_path / "model.ccm"
+    save_model(path, request.getfixturevalue(model))
     raw = path.read_bytes()
     assert old in raw
     path.write_bytes(raw.replace(old, new, 1))

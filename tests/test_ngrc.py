@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from chaoscontrol import NgrcConfig, NgrcModel, Trajectory, build_library
+from chaoscontrol.control import free_run
 from chaoscontrol.errors import DivergenceError, InsufficientDataError
 from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
 from chaoscontrol.ngrc import (
     build_design,
     poly_features,
-    predict_autonomous,
     shift_expand,
     train,
 )
@@ -240,7 +240,7 @@ def test_one_step_residual_beats_zero_model(train_run_short):
 
 def test_zero_steps_gives_empty_trajectory(train_run_short):
     model = train(train_run_short, NgrcConfig())
-    assert len(predict_autonomous(model, 0, 0.05)) == 0
+    assert free_run(model.stepper(), 0, 0.05).samples.shape == (0, 3)
 
 
 def test_zero_readout_continues_last_sample():
@@ -253,27 +253,32 @@ def test_zero_readout_continues_last_sample():
         W_out=np.zeros_like(model.W_out),
         tap_buffer=model.tap_buffer.copy(),
     )
-    pred = predict_autonomous(frozen, 5, 0.05)
+    pred = free_run(frozen.stepper(), 5, 0.05)
     np.testing.assert_array_equal(
         pred.samples, np.tile(traj.samples[-1], (5, 1))
     )
 
 
 def test_seed_history_taps(train_run_short):
-    model = train(train_run_short, NgrcConfig(k=2, s=3, orders=(1,), ridge_beta=1e-8))
-    history = Trajectory(0.05, train_run_short.samples[-4:].copy())
-    pred = predict_autonomous(model, 3, 0.05, seed_history=history)
-    assert len(pred) == 3
+    cfg = NgrcConfig(k=2, s=3, orders=(1,), ridge_beta=1e-8)
+    model = train(train_run_short, cfg)
+    # the stored taps are the trailing tap_span = (k-1)*s + 1 samples
+    np.testing.assert_array_equal(model.tap_buffer, train_run_short.samples[-4:])
+    assert len(free_run(model.stepper(), 3, 0.05)) == 3
+    short = NgrcModel(
+        config=cfg,
+        library=model.library,
+        W_out=model.W_out,
+        tap_buffer=model.tap_buffer[-2:].copy(),
+    )
     with pytest.raises(InsufficientDataError):
-        predict_autonomous(
-            model, 3, 0.05, seed_history=Trajectory(0.05, history.samples[-2:].copy())
-        )
+        short.stepper()
 
 
 def test_prediction_divergence_signal(train_run_short):
     model = train(train_run_short, NgrcConfig())
     with pytest.raises(DivergenceError) as info:
-        predict_autonomous(model, 10_000, 0.05, bound=1e3)
+        free_run(model.stepper(bound=1e3), 10_000, 0.05)
     assert info.value.phase == "predict"
 
 
@@ -310,8 +315,8 @@ def test_sampling_interval_boundary(seed, dt, n, steps, survives):
     cfg = ExperimentConfig(kind="ngrc", dt=dt, training_steps=n, master_seed=seed)
     _, model = prepare_trained_model(cfg)
     if survives:
-        assert len(predict_autonomous(model, steps, dt)) == steps
+        assert len(free_run(model.stepper(), steps, dt)) == steps
     else:
         with pytest.raises(DivergenceError) as info:
-            predict_autonomous(model, steps, dt)
+            free_run(model.stepper(), steps, dt)
         assert info.value.phase == "predict"
