@@ -11,10 +11,8 @@ from .dynamics import (
     IntegratorConfig,
     LorenzParams,
     Trajectory,
-    lorenz_deriv,
     random_initial_state,
     relax_to_attractor,
-    rk4_step,
     simulate,
     step_rk4,
 )

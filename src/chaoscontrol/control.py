@@ -23,7 +23,7 @@ from .dynamics import (
     IntegratorConfig,
     LorenzParams,
     Trajectory,
-    _advance_interval,
+    _rk4_intervals,
 )
 from .errors import DIVERGENCE_BOUND, DivergenceError
 
@@ -145,7 +145,7 @@ def run_control(
         fx = sign_k * (vx - x)
         fy = sign_k * (vy - y)
         fz = sign_k * (vz - z)
-        x, y, z = _advance_interval(
+        x, y, z = _rk4_intervals(
             x, y, z, p.sigma, p.rho, p.beta, icfg.dt, icfg.substeps, fx, fy, fz
         )
         # NaN and inf fail the comparisons too

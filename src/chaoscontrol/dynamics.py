@@ -1,16 +1,20 @@
 """Lorenz system simulation with fixed-step RK4 and an optional additive force.
 
-The integrator treats an external force as piecewise constant over each step
-(zero-order hold): the force vector is added to the vector field in all four
-RK4 stages.  A generic :func:`rk4_step` is exposed for arbitrary derivative
-functions; the Lorenz-specialized loop in :func:`simulate` performs the exact
-same arithmetic in the same order, so both paths agree bit for bit.
+The integrator treats an external force as piecewise constant over each
+sampling interval (zero-order hold): the force vector is added to the vector
+field in all four stages of every RK4 substep.  One private scalar kernel,
+:func:`_rk4_intervals`, holds the only copy of that arithmetic; it works on
+Python floats and advances any number of intervals per call.
+:func:`simulate`, :func:`step_rk4`, :func:`relax_to_attractor` and the
+closed-loop plant in :mod:`chaoscontrol.control` all run through it, so
+every Lorenz integration in the package is bitwise the same computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +24,6 @@ __all__ = [
     "LorenzParams",
     "IntegratorConfig",
     "Trajectory",
-    "lorenz_deriv",
-    "rk4_step",
     "step_rk4",
     "simulate",
     "random_initial_state",
@@ -106,76 +108,48 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
 
-    def segment(self, start: int, stop: int | None = None) -> "Trajectory":
-        """Contiguous sub-trajectory with the start time adjusted."""
-        sub = self.samples[start:stop]
-        return Trajectory(self.dt, sub.copy(), t0=self.t0 + self.dt * start)
 
+def _rk4_intervals(x, y, z, sigma, rho, beta, dt, substeps, fx, fy, fz, n=1, emit=None):
+    """Advance (x, y, z) by ``n`` sampling intervals; return the final state.
 
-def lorenz_deriv(u, p: LorenzParams) -> np.ndarray:
-    """Lorenz vector field (sigma*(y-x), x*(rho-z)-y, x*y-beta*z)."""
-    x, y, z = float(u[0]), float(u[1]), float(u[2])
-    return np.array(
-        [p.sigma * (y - x), x * (p.rho - z) - y, x * y - p.beta * z]
-    )
-
-
-def rk4_step(f, u, dt: float, force=None) -> np.ndarray:
-    """One classical RK4 step of du/dt = f(u) + force.
-
-    ``force`` is held constant across all four stages (zero-order hold).
-    Works for any state dimension; ``f`` maps an array to its derivative.
-    """
-    u = np.asarray(u, dtype=float)
-    if force is None:
-        force = np.zeros_like(u)
-    else:
-        force = np.asarray(force, dtype=float)
-    k1 = f(u) + force
-    k2 = f(u + (0.5 * dt) * k1) + force
-    k3 = f(u + (0.5 * dt) * k2) + force
-    k4 = f(u + dt * k3) + force
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _lorenz_rk4(x, y, z, sigma, rho, beta, dt, fx, fy, fz):
-    """Scalar Lorenz RK4 step; arithmetic mirrors rk4_step exactly."""
-    h = 0.5 * dt
-    k1x = sigma * (y - x) + fx
-    k1y = x * (rho - z) - y + fy
-    k1z = x * y - beta * z + fz
-
-    x2, y2, z2 = x + h * k1x, y + h * k1y, z + h * k1z
-    k2x = sigma * (y2 - x2) + fx
-    k2y = x2 * (rho - z2) - y2 + fy
-    k2z = x2 * y2 - beta * z2 + fz
-
-    x3, y3, z3 = x + h * k2x, y + h * k2y, z + h * k2z
-    k3x = sigma * (y3 - x3) + fx
-    k3y = x3 * (rho - z3) - y3 + fy
-    k3z = x3 * y3 - beta * z3 + fz
-
-    x4, y4, z4 = x + dt * k3x, y + dt * k3y, z + dt * k3z
-    k4x = sigma * (y4 - x4) + fx
-    k4y = x4 * (rho - z4) - y4 + fy
-    k4z = x4 * y4 - beta * z4 + fz
-
-    s = dt / 6.0
-    return (
-        x + s * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + s * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        z + s * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-    )
-
-
-def _advance_interval(x, y, z, sigma, rho, beta, dt, substeps, fx, fy, fz):
-    """Advance one sampling interval dt via ``substeps`` equal RK4 steps.
-
-    The force (fx, fy, fz) is held constant across the whole interval.
+    Each interval is ``substeps`` classical RK4 steps of size dt/substeps on
+    the Lorenz field plus the constant force (fx, fy, fz), held over all
+    four stages (zero-order hold).  The arithmetic is that of the generic
+    stage form k_i = f(u_i) + force, u + (h/6)(k1 + 2 k2 + 2 k3 + k4), in
+    the same order; the force terms stay even when zero, since dropping a
+    ``+ 0.0`` can flip the sign of an exact zero.  ``emit`` receives each
+    interval's end state as an (x, y, z) tuple.  Non-finite values are not
+    checked here: they propagate and the caller tests the result.
     """
     h = dt / substeps
-    for _ in range(substeps):
-        x, y, z = _lorenz_rk4(x, y, z, sigma, rho, beta, h, fx, fy, fz)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for _ in range(n):
+        for _ in range(substeps):
+            k1x = sigma * (y - x) + fx
+            k1y = x * (rho - z) - y + fy
+            k1z = x * y - beta * z + fz
+
+            x2, y2, z2 = x + hh * k1x, y + hh * k1y, z + hh * k1z
+            k2x = sigma * (y2 - x2) + fx
+            k2y = x2 * (rho - z2) - y2 + fy
+            k2z = x2 * y2 - beta * z2 + fz
+
+            x3, y3, z3 = x + hh * k2x, y + hh * k2y, z + hh * k2z
+            k3x = sigma * (y3 - x3) + fx
+            k3y = x3 * (rho - z3) - y3 + fy
+            k3z = x3 * y3 - beta * z3 + fz
+
+            x4, y4, z4 = x + h * k3x, y + h * k3y, z + h * k3z
+            k4x = sigma * (y4 - x4) + fx
+            k4y = x4 * (rho - z4) - y4 + fy
+            k4z = x4 * y4 - beta * z4 + fz
+
+            x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + h6 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        if emit is not None:
+            emit((x, y, z))
     return x, y, z
 
 
@@ -192,7 +166,7 @@ def step_rk4(u, p: LorenzParams, cfg: IntegratorConfig, force=None) -> np.ndarra
         fx = fy = fz = 0.0
     else:
         fx, fy, fz = float(force[0]), float(force[1]), float(force[2])
-    out = _advance_interval(
+    out = _rk4_intervals(
         float(u[0]), float(u[1]), float(u[2]),
         p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps, fx, fy, fz,
     )
@@ -213,21 +187,23 @@ def simulate(
     Returns a trajectory of ``n_steps + 1`` samples starting at ``u0``.
 
     Raises:
-        IntegrationError: carries the index of the first failing step.
+        IntegrationError: carries the index of the first non-finite sample.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    out = np.empty((n_steps + 1, 3))
     x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
-    out[0] = (x, y, z)
-    sigma, rho, beta, dt, m = p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps
-    for i in range(1, n_steps + 1):
-        x, y, z = _advance_interval(x, y, z, sigma, rho, beta, dt, m, 0.0, 0.0, 0.0)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise IntegrationError(
-                f"integration failed at step {i}", step=i
-            )
-        out[i] = (x, y, z)
+    # a flat array('d') holds 24 bytes per sample; a list of tuples about 190
+    buf = array("d", (x, y, z))
+    _rk4_intervals(
+        x, y, z, p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps, 0.0, 0.0, 0.0,
+        n=n_steps, emit=buf.extend,
+    )
+    out = np.array(buf).reshape(n_steps + 1, 3)
+    # a non-finite u0 makes sample 1 non-finite, so checking from 1 suffices
+    bad = ~np.isfinite(out[1:]).all(axis=1)
+    if bad.any():
+        step = int(bad.argmax()) + 1
+        raise IntegrationError(f"integration failed at step {step}", step=step)
     return Trajectory(cfg.dt, out, t0=t0)
 
 

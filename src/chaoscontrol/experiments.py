@@ -67,6 +67,7 @@ __all__ = [
     "SweepResult",
     "SingleRunReport",
     "PREDICTOR_KINDS",
+    "MAX_STEPS",
     "REFERENCE_KINDS",
     "derive_seed_sequence",
     "attractor_series",
@@ -86,6 +87,10 @@ __all__ = [
 PREDICTOR_KINDS = ("classic", "ngrc")
 # reference climates of the two unforced regimes, reported alongside sweeps
 REFERENCE_KINDS = ("ref_train", "ref_plant")
+
+# upper bound on training_steps and horizon: one (n + 1, 3) float64 series
+# of this many intervals already takes 2.4 GB
+MAX_STEPS = 100_000_000
 
 _KIND_IDS = {"classic": 0, "ngrc": 1, "ref_train": 2, "ref_plant": 3}
 _STREAM_TRAJECTORY = 0
@@ -131,14 +136,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise ConfigError(f"kind must be one of {PREDICTOR_KINDS}, got {self.kind!r}")
-        if self.training_steps < 2:
-            raise ConfigError("training_steps must be >= 2")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+        if not 2 <= self.training_steps <= MAX_STEPS:
+            raise ConfigError(f"training_steps must lie in [2, {MAX_STEPS}]")
+        if not 1 <= self.horizon <= MAX_STEPS:
+            raise ConfigError(f"horizon must lie in [1, {MAX_STEPS}]")
         if self.washout is not None and self.washout < 0:
             raise ConfigError("washout must be >= 0")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        # every derived config validates its own fields; build each once so
+        # a bad value fails here and not midway through a command
+        try:
+            self.integrator()
+            self.esn_config(seed=0, n=self.training_steps)
+            self.ngrc_config()
+            ControlConfig(
+                plant_params=self.plant_params(), K=self.control_gain, n_steps=self.horizon
+            )
+            self.train_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def train_params(self) -> LorenzParams:
         return LorenzParams(self.sigma, self.rho_train, self.lorenz_beta)
@@ -235,16 +252,20 @@ _CONFIG_PARSERS = {
 
 def load_config_file(path) -> dict:
     """Parse a flat key=value config file ('#' comments, blank lines ok)."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     mapping = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            mapping[key.strip()] = value.strip().strip("\"'")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        mapping[key.strip()] = value.strip().strip("\"'")
     return mapping
 
 

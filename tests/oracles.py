@@ -3,7 +3,9 @@
 Each oracle recomputes a quantity the package derives, through a
 different algorithm (explicit normal equations, tangent-space exponent
 integration, exhaustive enumeration), so agreement is evidence rather
-than tautology.
+than tautology.  The generic RK4 step is the exception: it is the
+textbook arithmetic that the package's fused scalar Lorenz kernel must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,32 @@ def ridge_normal_equations(design: np.ndarray, targets: np.ndarray, beta: float)
     y = np.asarray(targets, dtype=float)
     gram = x.T @ x + beta * np.eye(x.shape[1])
     return np.linalg.solve(gram, x.T @ y).T
+
+
+def lorenz_deriv(u, p: LorenzParams) -> np.ndarray:
+    """Lorenz vector field (sigma*(y-x), x*(rho-z)-y, x*y-beta*z)."""
+    x, y, z = float(u[0]), float(u[1]), float(u[2])
+    return np.array(
+        [p.sigma * (y - x), x * (p.rho - z) - y, x * y - p.beta * z]
+    )
+
+
+def rk4_step(f, u, dt: float, force=None) -> np.ndarray:
+    """One classical RK4 step of du/dt = f(u) + force.
+
+    ``force`` is held constant across all four stages (zero-order hold).
+    Works for any state dimension; ``f`` maps an array to its derivative.
+    """
+    u = np.asarray(u, dtype=float)
+    if force is None:
+        force = np.zeros_like(u)
+    else:
+        force = np.asarray(force, dtype=float)
+    k1 = f(u) + force
+    k2 = f(u + (0.5 * dt) * k1) + force
+    k3 = f(u + (0.5 * dt) * k2) + force
+    k4 = f(u + dt * k3) + force
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def lorenz_jacobian(u, p: LorenzParams) -> np.ndarray:

@@ -26,7 +26,6 @@ from chaoscontrol import (
 )
 from chaoscontrol import esn, ngrc
 from chaoscontrol.cli import main as cli_main
-from chaoscontrol.dynamics import rk4_step
 from chaoscontrol.experiments import (
     ExperimentConfig,
     SweepSpec,
@@ -36,7 +35,12 @@ from chaoscontrol.experiments import (
 from chaoscontrol.ngrc import build_library, poly_features, shift_expand
 
 from conftest import attractor_trajectory
-from oracles import benettin_lyapunov, enumerate_monomials, ridge_normal_equations
+from oracles import (
+    benettin_lyapunov,
+    enumerate_monomials,
+    ridge_normal_equations,
+    rk4_step,
+)
 
 X_LAMBDA = (0.45, 0.80)
 X_NU = (1.15, 1.55)

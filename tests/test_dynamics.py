@@ -3,17 +3,17 @@ import pytest
 
 from chaoscontrol import (
     IntegratorConfig,
+    IntegrationError,
     LorenzParams,
     Trajectory,
-    lorenz_deriv,
     random_initial_state,
     relax_to_attractor,
-    rk4_step,
     simulate,
     step_rk4,
 )
 
 from conftest import INTEGRATOR, TRAIN_PARAMS
+from oracles import lorenz_deriv, rk4_step
 
 
 def test_derivative_closed_form():
@@ -48,7 +48,49 @@ def test_forced_step_equals_augmented_field():
     cfg = IntegratorConfig(dt=0.05, substeps=1)
     via_force = step_rk4(u, TRAIN_PARAMS, cfg, force=force)
     via_field = rk4_step(lambda w: lorenz_deriv(w, TRAIN_PARAMS) + force, u, 0.05)
-    np.testing.assert_allclose(via_force, via_field, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(via_force, via_field)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("substeps", [1, 3, 5])
+def test_kernel_matches_generic_rk4_bitwise(substeps, forced):
+    # the fused scalar kernel must be the generic stage arithmetic, in order
+    cfg = IntegratorConfig(dt=0.05, substeps=substeps)
+    h = cfg.dt / substeps
+    n = 300
+    rng = np.random.default_rng(substeps)
+    forces = rng.uniform(-5.0, 5.0, size=(n, 3)) if forced else [None] * n
+
+    def field(w):
+        return lorenz_deriv(w, TRAIN_PARAMS)
+
+    u = np.array([3.0, -1.5, 30.0])
+    expected = [u]
+    for force in forces:
+        for _ in range(substeps):
+            u = rk4_step(field, u, h, force=force)
+        expected.append(u)
+    expected = np.array(expected)
+
+    chained = [expected[0]]
+    for force in forces:
+        chained.append(step_rk4(chained[-1], TRAIN_PARAMS, cfg, force=force))
+    np.testing.assert_array_equal(np.array(chained), expected)
+    if not forced:
+        traj = simulate(expected[0], TRAIN_PARAMS, cfg, n)
+        np.testing.assert_array_equal(traj.samples, expected)
+
+
+@pytest.mark.parametrize(
+    "u0, step", [((50.0, 50.0, 50.0), 3), ((1e200, 1e200, 1e200), 1)]
+)
+def test_integration_error_names_first_non_finite_step(u0, step):
+    # a single half-unit RK4 step at rho = 1e6 overflows within a few steps
+    params = LorenzParams(10.0, 1e6, 8.0 / 3.0)
+    cfg = IntegratorConfig(dt=0.5, substeps=1)
+    with pytest.raises(IntegrationError) as info:
+        simulate(np.array(u0), params, cfg, 10)
+    assert info.value.step == step
 
 
 def test_simulate_length_contract():
@@ -70,13 +112,9 @@ def test_simulate_deterministic():
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
-def test_trajectory_times_and_segment():
+def test_trajectory_times():
     traj = Trajectory(0.05, np.arange(12.0).reshape(4, 3), t0=1.0)
     np.testing.assert_allclose(traj.times, [1.0, 1.05, 1.1, 1.15])
-    sub = traj.segment(1, 3)
-    assert len(sub) == 2
-    assert sub.t0 == pytest.approx(1.05)
-    np.testing.assert_array_equal(sub.samples, traj.samples[1:3])
 
 
 def test_trajectory_rejects_non_finite():

@@ -6,6 +6,7 @@ import pytest
 from chaoscontrol import climate_stats, simulate
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.experiments import (
+    MAX_STEPS,
     ExperimentConfig,
     SweepRow,
     SweepSpec,
@@ -47,6 +48,9 @@ def test_config_validation():
         ExperimentConfig(training_steps=1)
     with pytest.raises(ConfigError):
         ExperimentConfig(dt=0.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(horizon=MAX_STEPS + 1)
+    ExperimentConfig(training_steps=MAX_STEPS, horizon=MAX_STEPS)
     with pytest.raises(ConfigError):
         SweepSpec(training_lengths=(500, 250))
     with pytest.raises(ConfigError):
