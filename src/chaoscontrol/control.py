@@ -27,9 +27,7 @@ from .dynamics import (
 )
 from .errors import DIVERGENCE_BOUND, DivergenceError
 
-__all__ = [
-    "ControlConfig", "ControlRun", "Stepper", "compute_force", "free_run", "run_control",
-]
+__all__ = ["ControlConfig", "ControlRun", "Stepper", "free_run", "run_control"]
 
 
 class Stepper(Protocol):
@@ -82,11 +80,6 @@ class ControlRun:
         n = len(self.controlled)
         if len(self.hypothetical) != n or len(self.forces) != n:
             raise ValueError("control-run series must share length")
-
-
-def compute_force(u, v, K: float) -> np.ndarray:
-    """Recorded control force F = K (u - v)."""
-    return K * (np.asarray(u, dtype=float) - np.asarray(v, dtype=float))
 
 
 def free_run(stepper: Stepper, n_steps: int, dt: float) -> Trajectory:

@@ -99,31 +99,15 @@ class EsnModel:
         return _EsnStepper(self, bound)
 
 
-def _spectral_radius(a: sparse.csr_matrix, dense_limit: int = 512) -> float:
-    """Largest |eigenvalue| of a sparse matrix.
+def _spectral_radius(a: sparse.csr_matrix) -> float:
+    """Largest |eigenvalue| of a sparse matrix, from the dense eigensolver.
 
-    Dense eigensolver below ``dense_limit``; power iteration above (plain
-    iteration oscillates on complex dominant pairs, so the estimate averages
-    the growth over two successive applications).
+    A sampled network's spectrum crowds the rim of a disc, often with a
+    complex pair on top, so iterative estimates are unreliable here:
+    power iteration and ARPACK (k=1) both missed the largest modulus by
+    up to 5% on 600- and 1500-unit reservoirs.
     """
-    n = a.shape[0]
-    if n <= dense_limit:
-        return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(10_000):
-        w = a @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_estimate = np.sqrt(nw)
-        v = w / nw
-        if abs(new_estimate - estimate) <= 1e-12 * max(new_estimate, 1e-300):
-            return float(new_estimate)
-        estimate = new_estimate
-    return float(estimate)
+    return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
 
 
 def build_reservoir(cfg: EsnConfig) -> EsnModel:

@@ -145,17 +145,24 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         # every derived config validates its own fields; build each once so
-        # a bad value fails here and not midway through a command
-        try:
-            self.integrator()
-            self.esn_config(seed=0, n=self.training_steps)
-            self.ngrc_config()
-            ControlConfig(
+        # a bad value fails here and not midway through a command, and name
+        # the config keys it was built from
+        derived = (
+            ("sigma / rho_train / lorenz_beta", self.train_params),
+            ("sigma / rho_plant / lorenz_beta", self.plant_params),
+            ("dt / substeps", self.integrator),
+            ("esn_reservoir_dim / esn_edge_prob / esn_input_scale / esn_spectral_radius"
+             " / esn_ridge_beta", lambda: self.esn_config(seed=0, n=self.training_steps)),
+            ("ngrc_k / ngrc_s / ngrc_orders / ngrc_ridge_beta", self.ngrc_config),
+            ("control_gain", lambda: ControlConfig(
                 plant_params=self.plant_params(), K=self.control_gain, n_steps=self.horizon
-            )
-            self.train_params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            )),
+        )
+        for keys, build in derived:
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: {exc}") from None
 
     def train_params(self) -> LorenzParams:
         return LorenzParams(self.sigma, self.rho_train, self.lorenz_beta)

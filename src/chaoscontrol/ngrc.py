@@ -26,7 +26,6 @@ __all__ = [
     "MonomialLibrary",
     "NgrcModel",
     "build_library",
-    "shift_expand",
     "poly_features",
     "build_design",
     "train",
@@ -148,23 +147,6 @@ class NgrcModel:
         return _NgrcStepper(self, self.tap_buffer[-span:], bound)
 
 
-def shift_expand(history: Trajectory, t: int, k: int, s: int) -> np.ndarray:
-    """Concatenate samples at times t, t-s, ..., t-(k-1)s, newest first.
-
-    Raises:
-        InsufficientDataError: t < (k-1)*s or t beyond the series.
-    """
-    samples = history.samples
-    if t >= len(samples):
-        raise InsufficientDataError(f"index {t} beyond series of {len(samples)}")
-    if t - (k - 1) * s < 0:
-        raise InsufficientDataError(
-            f"index {t} needs {(k - 1) * s} earlier samples"
-        )
-    taps = [samples[t - i * s] for i in range(k)]
-    return np.concatenate(taps)
-
-
 def _products(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Multiply the gathered factor columns of ``table`` left to right."""
     out = padded[..., table[0]]
@@ -210,7 +192,7 @@ def build_design(
         raise InsufficientDataError(
             f"need more than {cfg.warmup + 1} samples, got {t_total}"
         )
-    # tap i of row t is sample t - i*s, the layout of shift_expand
+    # tap i of row t is sample t - i*s: taps newest first
     taps = np.concatenate(
         [samples[cfg.warmup - i * cfg.s : t_total - 1 - i * cfg.s] for i in range(cfg.k)],
         axis=1,

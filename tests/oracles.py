@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from chaoscontrol import LorenzParams
+from chaoscontrol.errors import InsufficientDataError
 
 
 def ridge_normal_equations(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarray:
@@ -168,6 +169,23 @@ def monomial_products(v, monomials) -> np.ndarray:
             feats.append(product)
         out.append(feats)
     return np.array(out).reshape(v.shape[:-1] + (len(monomials),))
+
+
+def shift_expand(history, t: int, k: int, s: int) -> np.ndarray:
+    """Samples at times t, t-s, ..., t-(k-1)s of a Trajectory, newest first.
+
+    One row of NG-RC taps, gathered sample by sample; ``build_design``
+    must lay out every design row the same way.
+
+    Raises:
+        InsufficientDataError: t < (k-1)*s or t beyond the series.
+    """
+    samples = history.samples
+    if t >= len(samples):
+        raise InsufficientDataError(f"index {t} beyond series of {len(samples)}")
+    if t - (k - 1) * s < 0:
+        raise InsufficientDataError(f"index {t} needs {(k - 1) * s} earlier samples")
+    return np.concatenate([samples[t - i * s] for i in range(k)])
 
 
 def pair_counts(points, r_grid) -> np.ndarray:

@@ -32,7 +32,7 @@ from chaoscontrol.experiments import (
     attractor_series,
     run_sweep,
 )
-from chaoscontrol.ngrc import build_library, poly_features, shift_expand
+from chaoscontrol.ngrc import build_library, poly_features
 
 from conftest import attractor_trajectory
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
     enumerate_monomials,
     ridge_normal_equations,
     rk4_step,
+    shift_expand,
 )
 
 X_LAMBDA = (0.45, 0.80)

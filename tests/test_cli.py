@@ -187,28 +187,35 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, messag
 
 @pytest.mark.parametrize("command", ["simulate", "train"])
 @pytest.mark.parametrize(
-    "content, message",
+    "content, names, message",
     [
-        (b"master_seed = -1\n", "master_seed must be >= 0"),
-        (b"substeps = 0\n", "substeps must be >= 1"),
-        (b"rho_train = nan\n", "rho must be finite"),
-        (b"ngrc_orders = 0\n", "orders must be positive integers"),
-        (b"training_steps = 99999999999999999999\n", "training_steps must lie in"),
-        (b"control_gain = nan\n", "K must be finite"),
-        (b"horizon = 5\xff\n", "not a UTF-8 text file"),
+        (b"master_seed = -1\n", "master_seed", "master_seed must be >= 0"),
+        (b"substeps = 0\n", "substeps", "substeps must be >= 1"),
+        (b"rho_train = nan\n", "rho_train", "rho must be finite"),
+        (b"ngrc_orders = 0\n", "ngrc_orders", "orders must be positive integers"),
+        (
+            b"training_steps = 99999999999999999999\n", "training_steps",
+            "training_steps must lie in",
+        ),
+        (b"control_gain = nan\n", "control_gain", "K must be finite"),
+        # an undecodable file has no key to name, so the line names the file
+        (b"horizon = 5\xff\n", "bad.cfg", "not a UTF-8 text file"),
     ],
     ids=[
         "negative-seed", "zero-substeps", "nan-rho", "zero-order",
         "huge-training-steps", "nan-gain", "non-utf8",
     ],
 )
-def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, content, message):
+def test_bad_config_exits_2_with_one_line(
+    tmp_path, capsys, command, content, names, message
+):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(content)
     assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and message in err
+    assert names in err
 
 
 def test_control_writes_experiment_bundle(tmp_path):

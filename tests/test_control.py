@@ -7,7 +7,6 @@ from chaoscontrol import (
     EsnConfig,
     Trajectory,
     build_reservoir,
-    compute_force,
     run_control,
     simulate,
     step_rk4,
@@ -28,15 +27,6 @@ class ReplayStepper:
 
     def step(self):
         return next(self._it)
-
-
-def test_force_formula():
-    np.testing.assert_array_equal(
-        compute_force([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 20.0), np.zeros(3)
-    )
-    np.testing.assert_allclose(
-        compute_force([0.1, 0.0, 0.0], [0.0, 0.0, 0.0], 20.0), [2.0, 0.0, 0.0]
-    )
 
 
 def test_config_validation():

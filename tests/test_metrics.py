@@ -14,7 +14,7 @@ from chaoscontrol import (
 from chaoscontrol.cli import main as cli_main
 from chaoscontrol.errors import InsufficientDataError
 from chaoscontrol.experiments import write_trajectory_csv
-from chaoscontrol.metrics import _FIRST_QUERY_K, theiler_neighbours
+from chaoscontrol.metrics import _FIRST_QUERY_K, _GP_BLOCK, theiler_neighbours
 
 from conftest import PLANT_PARAMS, attractor_trajectory
 from oracles import benettin_lyapunov, pair_counts, theiler_nearest_neighbours
@@ -158,13 +158,27 @@ def _pair_count_sets():
     base = rng.uniform(-1.0, 1.0, size=(60, 3))
     duplicates = np.repeat(base, rng.integers(1, 5, size=60), axis=0)
     lorenz = attractor_trajectory(PLANT_PARAMS, 399, seed=2).samples
-    return {"random": random, "duplicates": duplicates, "lorenz": lorenz}
+    # several bisection levels deep
+    lorenz_long = attractor_trajectory(PLANT_PARAMS, 1199, seed=5).samples
+    # a 25 x 6 x 4 unit lattice, every node twice: each median cut falls
+    # inside a run of tied coordinates and puts copies of some nodes on
+    # both sides, and the distance shells 1 to sqrt 6 lie inside the
+    # radius range
+    axes = np.meshgrid(np.arange(25.0), np.arange(6.0), np.arange(4.0), indexing="ij")
+    nodes = np.stack([a.ravel() for a in axes], axis=1)
+    lattice = np.repeat(nodes, 2, axis=0)[rng.permutation(2 * len(nodes))]
+    return {
+        "random": random, "duplicates": duplicates, "lorenz": lorenz,
+        "lorenz-long": lorenz_long, "lattice": lattice,
+    }
 
 
-@pytest.mark.parametrize("name", ["random", "duplicates", "lorenz"])
+@pytest.mark.parametrize("name", ["random", "duplicates", "lorenz", "lorenz-long", "lattice"])
 def test_pair_counts_match_brute_force_oracle(name):
     points = _pair_count_sets()[name]
     n = len(points)
+    if name in ("lorenz-long", "lattice"):
+        assert n > 4 * _GP_BLOCK
     _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
     assert diag.n_pairs == n * (n - 1)
     counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)

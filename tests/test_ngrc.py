@@ -5,18 +5,14 @@ from chaoscontrol import NgrcConfig, NgrcModel, Trajectory, build_library
 from chaoscontrol.control import free_run
 from chaoscontrol.errors import DivergenceError, InsufficientDataError
 from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
-from chaoscontrol.ngrc import (
-    build_design,
-    poly_features,
-    shift_expand,
-    train,
-)
+from chaoscontrol.ngrc import build_design, poly_features, train
 
 from oracles import (
     count_monomials,
     enumerate_monomials,
     monomial_products,
     ridge_normal_equations,
+    shift_expand,
 )
 
 

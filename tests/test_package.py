@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,29 @@ def test_public_names_resolve(name):
     module = importlib.import_module(f"chaoscontrol.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"chaoscontrol.{name}.__all__ names undefined {missing}"
+
+
+def _names_read_in_package() -> set:
+    """Every name and attribute the package's modules read, re-exports aside."""
+    read = set()
+    for path in Path(chaoscontrol.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):  # from .esn import train as esn_train
+                read.add(node.name)
+    return read
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_have_a_caller_in_the_package(name):
+    # a public name that no package code reads is kept for the tests
+    # alone; it belongs in tests/oracles.py
+    module = importlib.import_module(f"chaoscontrol.{name}")
+    read = _names_read_in_package()
+    unused = [attr for attr in getattr(module, "__all__", ()) if attr not in read]
+    assert not unused, f"chaoscontrol.{name} exports names no package code reads: {unused}"
