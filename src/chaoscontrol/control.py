@@ -14,6 +14,7 @@ and raises DivergenceError (phase "predict") once a component leaves
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -43,18 +44,13 @@ class ControlConfig:
     """Control-loop settings.
 
     The recorded force follows the defining convention F = K (u - v).  The
-    force actually injected into the plant is ``force_sign * K * (v - u)``:
-    with the default ``force_sign=+1`` the feedback is corrective and pulls
-    the plant toward the hypothetical trajectory, which is the behaviour the
-    closed loop needs.  ``force_sign=-1`` injects the defining expression
-    verbatim instead; that reading is positive feedback and diverges, and is
-    kept only for inspection.
+    force injected into the plant is K (v - u): corrective feedback that
+    pulls the plant toward the hypothetical trajectory.
     """
 
     plant_params: LorenzParams
     K: float = 20.0
     n_steps: int = 10_000
-    force_sign: float = 1.0
     divergence_bound: float = DIVERGENCE_BOUND
 
     def __post_init__(self):
@@ -62,8 +58,6 @@ class ControlConfig:
             raise ValueError("K must be finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.force_sign not in (-1.0, 1.0):
-            raise ValueError("force_sign must be +1 or -1")
         if self.divergence_bound <= 0:
             raise ValueError("divergence_bound must be positive")
 
@@ -117,7 +111,8 @@ def run_control(
     keeps the plant state in Python floats.  The arithmetic is the same
     IEEE double arithmetic as on ``np.float64`` scalars, so the results are
     bitwise the same, but numpy scalars would make every scalar RK4 stage
-    several times slower.
+    several times slower.  Plant states and predictor outputs go to two
+    flat ``array('d')`` buffers, which become arrays once, after the loop.
 
     Raises:
         DivergenceError: plant leaving ``divergence_bound`` (phase
@@ -125,19 +120,17 @@ def run_control(
     """
     p = cfg.plant_params
     n = cfg.n_steps
-    sign_k = cfg.force_sign * cfg.K
+    k = cfg.K
 
-    u = np.empty((n + 1, 3))
-    v = np.empty((n + 1, 3))
     x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
-    u[0] = (x, y, z)
-    v[0] = stepper.step()
+    vx, vy, vz = stepper.step().tolist()  # Python floats, see the docstring
+    plant = array("d", (x, y, z))
+    hypothetical = array("d", (vx, vy, vz))
     bound = cfg.divergence_bound
     for t in range(n):
-        vx, vy, vz = v[t].tolist()  # Python floats, see the docstring
-        fx = sign_k * (vx - x)
-        fy = sign_k * (vy - y)
-        fz = sign_k * (vz - z)
+        fx = k * (vx - x)
+        fy = k * (vy - y)
+        fz = k * (vz - z)
         x, y, z = _rk4_intervals(
             x, y, z, p.sigma, p.rho, p.beta, icfg.dt, icfg.substeps, fx, fy, fz
         )
@@ -147,10 +140,13 @@ def run_control(
                 f"controlled plant left |u| <= {bound:g}",
                 phase="control", step=t + 1,
             )
-        u[t + 1] = (x, y, z)
-        v[t + 1] = stepper.step()
+        plant.extend((x, y, z))
+        vx, vy, vz = stepper.step().tolist()
+        hypothetical.extend((vx, vy, vz))
 
-    forces = cfg.K * (u - v)
+    u = np.array(plant).reshape(n + 1, 3)
+    v = np.array(hypothetical).reshape(n + 1, 3)
+    forces = k * (u - v)
     dt = icfg.dt
     return ControlRun(
         controlled=Trajectory(dt, u),

@@ -295,8 +295,13 @@ def largest_lyapunov(
 
     offsets = np.arange(cfg.follow_steps + 1)
     mean_log = np.empty(len(offsets))
+    # the pairs are gathered into two buffers reused at every offset
+    diff = np.empty((len(ref), points.shape[1]))
+    other = np.empty_like(diff)
     for kk in offsets:
-        diff = points[ref + kk] - points[nb + kk]
+        np.take(points, ref + kk, axis=0, out=diff)
+        np.take(points, nb + kk, axis=0, out=other)
+        diff -= other
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         nz = d > 0
         mean_log[kk] = np.log(d[nz]).mean() if nz.any() else -np.inf

@@ -18,6 +18,12 @@ INTEGRATOR = IntegratorConfig(dt=0.05, substeps=5)
 TRAIN_PARAMS = LorenzParams(sigma=10.0, rho=166.15, beta=8.0 / 3.0)
 PLANT_PARAMS = LorenzParams(sigma=10.0, rho=167.2, beta=8.0 / 3.0)
 
+# climate bands of the training (X) and plant (Y) regimes
+X_LAMBDA = (0.45, 0.80)
+X_NU = (1.15, 1.55)
+Y_LAMBDA = (0.70, 1.10)
+Y_NU = (1.55, 1.80)
+
 
 def attractor_trajectory(params, n_steps, seed=0):
     rng = np.random.default_rng(seed)

@@ -3,9 +3,10 @@
 Each oracle recomputes a quantity the package derives, through a
 different algorithm (explicit normal equations, tangent-space exponent
 integration, exhaustive enumeration), so agreement is evidence rather
-than tautology.  The generic RK4 step is the exception: it is the
-textbook arithmetic that the package's fused scalar Lorenz kernel must
-reproduce bit for bit.
+than tautology.  The generic RK4 step, the reservoir loops and the
+per-offset divergence curve are the exception: they are the textbook
+arithmetic that the package's fused or buffered loops must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +57,38 @@ def rk4_step(f, u, dt: float, force=None) -> np.ndarray:
     k3 = f(u + (0.5 * dt) * k2) + force
     k4 = f(u + dt * k3) + force
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def augmented_state(r: np.ndarray) -> np.ndarray:
+    """Quadratic augmentation {r, r^2} doubling the state dimension."""
+    return np.concatenate([r, r * r])
+
+
+def esn_harvest(model, samples) -> tuple:
+    """Reservoir drive through ``samples``, one scipy ``A @ r`` per step.
+
+    Returns (augmented states after ingesting samples washout .. n-2, the
+    state after ingesting the last sample): the design matrix of the
+    readout fit and the state prediction continues from.
+    """
+    r = np.zeros(model.config.reservoir_dim)
+    rows = []
+    for t, u in enumerate(samples):
+        r = np.tanh(model.A @ r + model.W_in @ u)
+        if model.config.washout <= t < len(samples) - 1:
+            rows.append(augmented_state(r))
+    return np.array(rows), r
+
+
+def esn_free_run(model, n_steps: int) -> np.ndarray:
+    """Closed loop from ``model.r``: v = P {r, r^2}, r <- tanh(A r + W_in v)."""
+    r = model.r.copy()
+    out = []
+    for _ in range(n_steps):
+        v = model.P @ augmented_state(r)
+        out.append(v)
+        r = np.tanh(model.A @ r + model.W_in @ v)
+    return np.array(out)
 
 
 def lorenz_jacobian(u, p: LorenzParams) -> np.ndarray:
@@ -217,3 +250,19 @@ def theiler_nearest_neighbours(points, window: int):
     has_valid = outside.any(axis=1)
     rank = (d < masked[rows, neighbour][:, None]).sum(axis=1)
     return neighbour, rank, has_valid
+
+
+def mean_log_divergence(points, ref, nb, follow_steps: int) -> np.ndarray:
+    """Rosenstein curve: mean log distance of pairs (ref, nb) at each offset.
+
+    One fancy-indexed difference per offset; pairs at distance zero are
+    left out of the mean, and an offset where every pair is at zero reads
+    -inf.
+    """
+    mean_log = np.empty(follow_steps + 1)
+    for kk in range(follow_steps + 1):
+        diff = points[ref + kk] - points[nb + kk]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        nz = d > 0
+        mean_log[kk] = np.log(d[nz]).mean() if nz.any() else -np.inf
+    return mean_log

@@ -34,7 +34,7 @@ from chaoscontrol.experiments import (
 )
 from chaoscontrol.ngrc import build_library, poly_features
 
-from conftest import attractor_trajectory
+from conftest import X_LAMBDA, X_NU, Y_LAMBDA, Y_NU, attractor_trajectory
 from oracles import (
     benettin_lyapunov,
     enumerate_monomials,
@@ -42,11 +42,6 @@ from oracles import (
     rk4_step,
     shift_expand,
 )
-
-X_LAMBDA = (0.45, 0.80)
-X_NU = (1.15, 1.55)
-Y_LAMBDA = (0.70, 1.10)
-Y_NU = (1.55, 1.80)
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

@@ -34,8 +34,6 @@ def test_config_validation():
         ControlConfig(plant_params=PLANT_PARAMS, K=float("inf"))
     with pytest.raises(ValueError):
         ControlConfig(plant_params=PLANT_PARAMS, n_steps=0)
-    with pytest.raises(ValueError):
-        ControlConfig(plant_params=PLANT_PARAMS, force_sign=0.5)
 
 
 def test_run_lengths_must_match():
@@ -83,28 +81,10 @@ def test_tracking_with_oracle_predictor():
     assert deviation <= 10.0 * one_step
 
 
-def test_verbatim_force_sign_is_positive_feedback():
-    target = attractor_trajectory(TRAIN_PARAMS, 30, seed=2)
-    u0 = target.samples[1]
-    deviations = {}
-    for sign in (1.0, -1.0):
-        cfg = ControlConfig(
-            plant_params=PLANT_PARAMS, K=20.0, n_steps=8, force_sign=sign
-        )
-        run = run_control(ReplayStepper(target.samples[1:]), u0, cfg, INTEGRATOR)
-        deviations[sign] = np.linalg.norm(
-            run.controlled.samples - run.hypothetical.samples, axis=1
-        )
-    assert deviations[1.0].max() < deviations[-1.0].max()
-    # the verbatim reading grows monotonically from the very first step
-    assert np.all(np.diff(deviations[-1.0][1:]) > 0)
-
-
 def test_control_divergence_tagged():
+    # a negative gain turns the feedback positive and drives the plant out
     target = attractor_trajectory(TRAIN_PARAMS, 600, seed=2)
-    cfg = ControlConfig(
-        plant_params=PLANT_PARAMS, K=20.0, n_steps=400, force_sign=-1.0
-    )
+    cfg = ControlConfig(plant_params=PLANT_PARAMS, K=-20.0, n_steps=400)
     with pytest.raises(DivergenceError) as info:
         run_control(ReplayStepper(target.samples[1:]), target.samples[1], cfg, INTEGRATOR)
     assert info.value.phase == "control"

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from chaoscontrol import EsnConfig, EsnModel, Trajectory, build_reservoir
+from chaoscontrol import (
+    EsnConfig,
+    EsnModel,
+    Trajectory,
+    build_reservoir,
+    load_model,
+    save_model,
+)
 from chaoscontrol.errors import (
     DivergenceError,
     InsufficientDataError,
     ReservoirSamplingError,
 )
 from chaoscontrol.control import free_run
-from chaoscontrol.esn import advance_state, augmented_state, train
+from chaoscontrol.esn import advance_state, train
+from chaoscontrol.ridge import ridge_fit
 
-from oracles import ridge_normal_equations
+from oracles import augmented_state, esn_free_run, esn_harvest, ridge_normal_equations
 
 
 def _zero_model(dim=4, input_dim=3, w_in=None):
@@ -78,6 +86,21 @@ def test_advance_state_identity_block():
     assert r[0] == pytest.approx(math.tanh(1.0))
     np.testing.assert_array_equal(r[1:], np.zeros(3))
     assert np.all(np.abs(r) < 1.0)
+
+
+@pytest.mark.parametrize("units", [3, 5])
+def test_state_size_mismatch_rejected(train_run_short, units):
+    # the reservoir kernel indexes r unchecked: a state of the wrong size
+    # must be refused before it runs
+    m = _zero_model()
+    m.r = np.zeros(units)
+    with pytest.raises(ValueError):
+        advance_state(m, np.ones(3))
+    m = build_reservoir(EsnConfig(reservoir_dim=4, washout=10, seed=1))
+    train(m, train_run_short)
+    m.r = np.zeros(units)
+    with pytest.raises(ValueError):
+        m.stepper()
 
 
 def test_augmentation_invariant():
@@ -184,6 +207,30 @@ def test_prediction_contract(train_run_short):
     # prediction clones model state: a second run must repeat the first
     again = free_run(m.stepper(), 20, 0.05)
     np.testing.assert_array_equal(pred.samples, again.samples)
+
+
+def test_harvest_matches_oracle_drive(train_run_short):
+    # the in-place harvest must give the scipy drive's design matrix bit for
+    # bit, hence the same readout, and the same state to continue from
+    m = build_reservoir(EsnConfig(washout=100, seed=12))
+    p = train(m, train_run_short)
+    states, r = esn_harvest(m, train_run_short.samples)
+    targets = train_run_short.samples[m.config.washout + 1 :]
+    assert np.array_equal(p, ridge_fit(states, targets, m.config.ridge_beta))
+    assert np.array_equal(m.r, r)
+
+
+@pytest.mark.parametrize("source", ["trained", "ccm"])
+def test_stepper_matches_oracle_loop(tmp_path, train_run_short, source):
+    m = build_reservoir(EsnConfig(washout=100, seed=12))
+    train(m, train_run_short)
+    if source == "ccm":
+        save_model(tmp_path / "model.ccm", m)
+        m = load_model(tmp_path / "model.ccm")
+    r0 = m.r.copy()
+    got = free_run(m.stepper(), 2000, 0.05).samples
+    assert np.array_equal(got, esn_free_run(m, 2000))
+    assert np.array_equal(m.r, r0)
 
 
 def test_prediction_divergence_bound(train_run_short):

@@ -17,7 +17,12 @@ from chaoscontrol.experiments import write_trajectory_csv
 from chaoscontrol.metrics import _FIRST_QUERY_K, _GP_BLOCK, theiler_neighbours
 
 from conftest import PLANT_PARAMS, attractor_trajectory
-from oracles import benettin_lyapunov, pair_counts, theiler_nearest_neighbours
+from oracles import (
+    benettin_lyapunov,
+    mean_log_divergence,
+    pair_counts,
+    theiler_nearest_neighbours,
+)
 
 
 def _line_set(n=10_000, seed=0):
@@ -217,6 +222,36 @@ def test_rows_without_valid_neighbour_lower_valid_fraction():
     _, diag = largest_lyapunov(traj, cfg)
     assert diag.valid_fraction == expected_valid.sum() / m
     assert diag.valid_fraction == 58 / 80
+
+
+def _with_repeated_stretch(n=400):
+    # samples 300..359 repeat 100..159 exactly: those pairs sit at distance
+    # zero for part of the tracked window and are left out of its means
+    points = attractor_trajectory(PLANT_PARAMS, n - 1, seed=5).samples.copy()
+    points[300:360] = points[100:160]
+    return points
+
+
+@pytest.mark.parametrize(
+    "series, all_valid",
+    [
+        pytest.param(lambda: attractor_trajectory(PLANT_PARAMS, 139, seed=3).samples, False,
+                     id="valid-fraction-below-1"),
+        pytest.param(_with_repeated_stretch, True, id="zero-distance-pairs"),
+    ],
+)
+def test_divergence_curve_matches_per_offset_loop(series, all_valid):
+    points = series()
+    cfg = RosensteinConfig()
+    m = len(points) - cfg.follow_steps
+    nb, has_valid = theiler_neighbours(points[:m], cfg.theiler_window)
+    ref = np.flatnonzero(has_valid)
+    _, diag = largest_lyapunov(Trajectory(0.05, points), cfg)
+    assert (diag.valid_fraction == 1.0) == all_valid
+    if all_valid:
+        assert np.any(np.all(points[ref] == points[nb[ref]], axis=1))
+    expected = mean_log_divergence(points, ref, nb[ref], cfg.follow_steps)
+    assert np.array_equal(diag.mean_log_dist, expected)
 
 
 def test_config_validation():

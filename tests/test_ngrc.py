@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from chaoscontrol import NgrcConfig, NgrcModel, Trajectory, build_library
+from chaoscontrol import NgrcConfig, NgrcModel, Trajectory, build_library, climate_stats
 from chaoscontrol.control import free_run
 from chaoscontrol.errors import DivergenceError, InsufficientDataError
 from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
 from chaoscontrol.ngrc import build_design, poly_features, train
 
+from conftest import X_LAMBDA
 from oracles import (
     count_monomials,
     enumerate_monomials,
@@ -301,6 +302,10 @@ def test_divergence_check_on_first_step(train_run_short, readout):
 # The NG-RC free run holds the attractor when sampled at dt = 0.025 and
 # leaves it at the pinned dt = 0.05 (equal training time, N*dt = 25), which
 # is why A3 and A4 fail in this build (README "Known-failing criteria").
+# Surviving is not enough: at dt = 0.025 the free run's exponent lies
+# outside the X band, periodic (about 0) for seeds 1, 3 and 4 and too
+# chaotic (about 1.8) for seeds 0 and 2.  This pins a known limit, not a
+# target; a fix to NG-RC that moves it into the band updates this test.
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize(
     "dt, n, steps, survives",
@@ -311,7 +316,10 @@ def test_sampling_interval_boundary(seed, dt, n, steps, survives):
     cfg = ExperimentConfig(kind="ngrc", dt=dt, training_steps=n, master_seed=seed)
     _, model = prepare_trained_model(cfg)
     if survives:
-        assert len(free_run(model.stepper(), steps, dt)) == steps
+        run = free_run(model.stepper(), steps, dt)
+        assert len(run) == steps
+        lam = climate_stats(run).lambda_max
+        assert not X_LAMBDA[0] <= lam <= X_LAMBDA[1], f"lambda {lam:.3f} in the X band"
     else:
         with pytest.raises(DivergenceError) as info:
             free_run(model.stepper(), steps, dt)
