@@ -5,8 +5,9 @@ Subcommands cover the full pipeline: ``simulate`` raw trajectories,
 closed-loop experiment, ``metrics`` on any trajectory CSV, ``sweep`` the
 data-efficiency grid, and ``snapshot`` of the exact training series.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical
-divergence in a single-run mode.
+Exit codes: 0 success, 2 configuration/usage error or a predictor that
+cannot be fitted, 3 numerical divergence or a failed integration in a
+single-run mode.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import numpy as np
 
 from .control import free_run
 from .dynamics import Trajectory
-from .errors import ConfigError, DivergenceError, InsufficientDataError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    IllConditionedError,
+    InsufficientDataError,
+    IntegrationError,
+    ReservoirSamplingError,
+)
 from .experiments import (
     ExperimentConfig,
     SweepSpec,
@@ -284,10 +292,16 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 2
+    except (ReservoirSamplingError, IllConditionedError) as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         print(
             f"divergence: {exc} (phase {exc.phase}, step {exc.step})", file=sys.stderr
         )
+        return 3
+    except IntegrationError as exc:
+        print(f"integration error: {exc} (step {exc.step})", file=sys.stderr)
         return 3
 
 

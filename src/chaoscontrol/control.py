@@ -51,15 +51,12 @@ class ControlConfig:
     plant_params: LorenzParams
     K: float = 20.0
     n_steps: int = 10_000
-    divergence_bound: float = DIVERGENCE_BOUND
 
     def __post_init__(self):
         if not math.isfinite(self.K):
             raise ValueError("K must be finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.divergence_bound <= 0:
-            raise ValueError("divergence_bound must be positive")
 
 
 @dataclass
@@ -115,7 +112,7 @@ def run_control(
     flat ``array('d')`` buffers, which become arrays once, after the loop.
 
     Raises:
-        DivergenceError: plant leaving ``divergence_bound`` (phase
+        DivergenceError: plant leaving ``DIVERGENCE_BOUND`` (phase
             "control") or predictor divergence (phase "predict").
     """
     p = cfg.plant_params
@@ -126,7 +123,7 @@ def run_control(
     vx, vy, vz = stepper.step().tolist()  # Python floats, see the docstring
     plant = array("d", (x, y, z))
     hypothetical = array("d", (vx, vy, vz))
-    bound = cfg.divergence_bound
+    bound = DIVERGENCE_BOUND  # a local name is cheaper in the loop
     for t in range(n):
         fx = k * (vx - x)
         fy = k * (vy - y)

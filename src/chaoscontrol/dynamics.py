@@ -61,14 +61,11 @@ class IntegratorConfig:
     """
 
     dt: float = 0.05
-    method: str = "rk4"
     substeps: int = 5
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("IntegratorConfig.dt must be positive")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported integration method {self.method!r}")
         if self.substeps < 1:
             raise ValueError("IntegratorConfig.substeps must be >= 1")
 
@@ -175,13 +172,7 @@ def step_rk4(u, p: LorenzParams, cfg: IntegratorConfig, force=None) -> np.ndarra
     return np.array(out)
 
 
-def simulate(
-    u0,
-    p: LorenzParams,
-    cfg: IntegratorConfig,
-    n_steps: int,
-    t0: float = 0.0,
-) -> Trajectory:
+def simulate(u0, p: LorenzParams, cfg: IntegratorConfig, n_steps: int) -> Trajectory:
     """Integrate the unforced Lorenz system for ``n_steps`` sampling intervals.
 
     Returns a trajectory of ``n_steps + 1`` samples starting at ``u0``.
@@ -203,8 +194,8 @@ def simulate(
     bad = ~np.isfinite(out[1:]).all(axis=1)
     if bad.any():
         step = int(bad.argmax()) + 1
-        raise IntegrationError(f"integration failed at step {step}", step=step)
-    return Trajectory(cfg.dt, out, t0=t0)
+        raise IntegrationError("simulation produced a non-finite state", step=step)
+    return Trajectory(cfg.dt, out)
 
 
 def random_initial_state(rng: np.random.Generator) -> np.ndarray:

@@ -8,6 +8,7 @@ the trained model into an autonomous dynamical system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,10 +61,10 @@ class EsnConfig:
             raise ValueError("reservoir_dim must be >= 1")
         if not (0.0 <= self.edge_prob <= 1.0):
             raise ValueError("edge_prob must lie in [0, 1]")
-        if self.input_scale < 0 or self.spectral_radius < 0:
-            raise ValueError("input_scale and spectral_radius must be >= 0")
-        if self.ridge_beta < 0:
-            raise ValueError("ridge_beta must be >= 0")
+        for name in ("input_scale", "spectral_radius", "ridge_beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.washout < 0:
             raise ValueError("washout must be >= 0")
         if self.input_dim < 1:

@@ -55,6 +55,7 @@ from .errors import (
 from .esn import EsnConfig, EsnModel, build_reservoir
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
+from .modelio import field_parsers
 from .ngrc import NgrcConfig, NgrcModel
 from .ngrc import train as ngrc_train
 from .svgplot import errorbar_chart, line_chart
@@ -88,8 +89,8 @@ PREDICTOR_KINDS = ("classic", "ngrc")
 # reference climates of the two unforced regimes, reported alongside sweeps
 REFERENCE_KINDS = ("ref_train", "ref_plant")
 
-# upper bound on training_steps and horizon: one (n + 1, 3) float64 series
-# of this many intervals already takes 2.4 GB
+# upper bound on training_steps, horizon and transient_steps: one (n + 1, 3)
+# float64 series of this many intervals already takes 2.4 GB
 MAX_STEPS = 100_000_000
 
 _KIND_IDS = {"classic": 0, "ngrc": 1, "ref_train": 2, "ref_plant": 3}
@@ -130,16 +131,15 @@ class ExperimentConfig:
     esn_ridge_beta: float = 1e-11
     ngrc_k: int = 1
     ngrc_s: int = 57
-    ngrc_orders: tuple = (1, 2, 3, 4)
+    ngrc_orders: tuple[int, ...] = (1, 2, 3, 4)
     ngrc_ridge_beta: float = 1e-4
 
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
             raise ConfigError(f"kind must be one of {PREDICTOR_KINDS}, got {self.kind!r}")
-        if not 2 <= self.training_steps <= MAX_STEPS:
-            raise ConfigError(f"training_steps must lie in [2, {MAX_STEPS}]")
-        if not 1 <= self.horizon <= MAX_STEPS:
-            raise ConfigError(f"horizon must lie in [1, {MAX_STEPS}]")
+        for name, low in (("training_steps", 2), ("horizon", 1), ("transient_steps", 0)):
+            if not low <= getattr(self, name) <= MAX_STEPS:
+                raise ConfigError(f"{name} must lie in [{low}, {MAX_STEPS}]")
         if self.washout is not None and self.washout < 0:
             raise ConfigError("washout must be >= 0")
         if self.master_seed < 0:
@@ -200,9 +200,9 @@ class ExperimentConfig:
 class SweepSpec:
     """Grid of a data-efficiency sweep."""
 
-    training_lengths: tuple = (250, 500, 750, 1000, 1500, 2000, 3000, 4000, 5000)
+    training_lengths: tuple[int, ...] = (250, 500, 750, 1000, 1500, 2000, 3000, 4000, 5000)
     n_realizations: int = 100
-    kinds: tuple = PREDICTOR_KINDS
+    kinds: tuple[str, ...] = PREDICTOR_KINDS
 
     def __post_init__(self):
         lengths = tuple(self.training_lengths)
@@ -216,44 +216,12 @@ class SweepSpec:
             raise ConfigError("n_realizations must be >= 1")
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(part) for part in text.replace(",", " ").split())
-
-
-def _parse_str_tuple(text: str) -> tuple:
-    return tuple(part for part in text.replace(",", " ").split())
-
-
-def _parse_optional_int(text: str):
-    return None if text.strip().lower() in ("", "none", "auto") else int(text)
-
-
-_CONFIG_PARSERS = {
-    "kind": str,
-    "training_steps": int,
-    "washout": _parse_optional_int,
-    "horizon": int,
-    "master_seed": int,
-    "dt": float,
-    "substeps": int,
-    "transient_steps": int,
-    "sigma": float,
-    "rho_train": float,
-    "rho_plant": float,
-    "lorenz_beta": float,
-    "control_gain": float,
-    "esn_reservoir_dim": int,
-    "esn_edge_prob": float,
-    "esn_input_scale": float,
-    "esn_spectral_radius": float,
-    "esn_ridge_beta": float,
-    "ngrc_k": int,
-    "ngrc_s": int,
-    "ngrc_orders": _parse_int_tuple,
-    "ngrc_ridge_beta": float,
-    "sweep_lengths": _parse_int_tuple,
-    "sweep_realizations": int,
-    "sweep_kinds": _parse_str_tuple,
+# config-file keys of the SweepSpec fields; every other key is an
+# ExperimentConfig field name
+_SWEEP_KEYS = {
+    "sweep_lengths": "training_lengths",
+    "sweep_realizations": "n_realizations",
+    "sweep_kinds": "kinds",
 }
 
 
@@ -279,23 +247,25 @@ def load_config_file(path) -> dict:
 def config_from_mapping(mapping: dict) -> tuple:
     """Build (ExperimentConfig, SweepSpec) from string key=value pairs.
 
-    Unknown keys are rejected so that typos fail loudly instead of running
-    a silently different experiment.
+    A key is an ExperimentConfig field name or one of the three sweep keys,
+    and each value is parsed by its field's annotated type.  Unknown keys
+    are rejected so that typos fail loudly instead of running a silently
+    different experiment.
     """
+    exp_parsers, sweep_parsers = field_parsers(ExperimentConfig), field_parsers(SweepSpec)
     exp_kwargs, sweep_kwargs = {}, {}
     for key, raw in mapping.items():
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
+        if key in exp_parsers:
+            kwargs, name, parse = exp_kwargs, key, exp_parsers[key]
+        elif key in _SWEEP_KEYS:
+            name = _SWEEP_KEYS[key]
+            kwargs, parse = sweep_kwargs, sweep_parsers[name]
+        else:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            value = parser(raw) if isinstance(raw, str) else raw
-        except (ValueError, TypeError) as exc:
+            kwargs[name] = parse(raw)
+        except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-        if key.startswith("sweep_"):
-            sweep_kwargs[key[len("sweep_"):].replace("lengths", "training_lengths")
-                         .replace("realizations", "n_realizations")] = value
-        else:
-            exp_kwargs[key] = value
     return ExperimentConfig(**exp_kwargs), SweepSpec(**sweep_kwargs)
 
 
@@ -549,8 +519,11 @@ def run_sweep(
         for kind in REFERENCE_KINDS
         for r in range(spec.n_realizations)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method launches every worker up front, so never ask
+    # for more than there are cells or cores
+    workers = min(jobs, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, grid, chunksize=1))
     else:
         rows = [_run_cell(args) for args in grid]

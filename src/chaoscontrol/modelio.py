@@ -18,13 +18,16 @@ semicolon-separated list of variable-index multisets), making the stored
 readout self-describing.  Only trained models are saveable: prediction
 state (reservoir vector / tap buffer, last training sample) is included
 so a loaded model continues exactly where training ended.
+The config lines are the ``EsnConfig`` or ``NgrcConfig`` fields in field
+order, written by :func:`format_fields` and read by :func:`field_parsers`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
-from typing import Union
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 from scipy import sparse
@@ -33,32 +36,58 @@ from .esn import EsnConfig, EsnModel
 from .errors import ConfigError
 from .ngrc import MonomialLibrary, NgrcConfig, NgrcModel, build_library
 
-__all__ = ["save_model", "load_model", "FORMAT_MAGIC"]
+__all__ = ["save_model", "load_model", "FORMAT_MAGIC", "field_parsers", "format_fields"]
 
 FORMAT_MAGIC = "#chaoscontrol-model v1"
 _PAYLOAD_MARK = b"#payload\n"
 
 
-def _format_float(x: float) -> str:
-    # repr round-trips float64 exactly
-    return repr(float(x))
+def _split(text: str) -> list:
+    return text.replace(",", " ").split()
+
+
+# annotated field type -> (text parser, text formatter) of a config field;
+# repr round-trips float64 exactly
+_FIELD_CODECS = {
+    int: (int, str),
+    float: (float, lambda x: repr(float(x))),
+    str: (str, str),
+    Optional[int]: (
+        lambda text: None if text.strip().lower() in ("", "none", "auto") else int(text),
+        str,
+    ),
+    tuple[int, ...]: (
+        lambda text: tuple(int(part) for part in _split(text)),
+        lambda values: ",".join(str(v) for v in values),
+    ),
+    tuple[str, ...]: (lambda text: tuple(_split(text)), ",".join),
+}
+
+
+def field_parsers(cls) -> dict:
+    """{field name: text parser} of a config dataclass, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: _FIELD_CODECS[hints[f.name]][0] for f in dataclasses.fields(cls)}
+
+
+def format_fields(cfg) -> dict:
+    """{field name: text} of a config dataclass instance, in field order."""
+    hints = get_type_hints(type(cfg))
+    return {
+        f.name: _FIELD_CODECS[hints[f.name]][1](getattr(cfg, f.name))
+        for f in dataclasses.fields(cfg)
+    }
+
+
+def _config_from_header(cls, fields: dict):
+    """Build ``cls`` from its header lines; a missing one raises KeyError."""
+    return cls(**{name: parse(fields[name]) for name, parse in field_parsers(cls).items()})
 
 
 def _esn_header_and_arrays(model: EsnModel):
     if not model.trained or model.last_sample is None:
         raise ValueError("only trained models can be serialized")
-    cfg = model.config
-    header = {
-        "kind": "classic",
-        "reservoir_dim": str(cfg.reservoir_dim),
-        "edge_prob": _format_float(cfg.edge_prob),
-        "input_scale": _format_float(cfg.input_scale),
-        "spectral_radius": _format_float(cfg.spectral_radius),
-        "ridge_beta": _format_float(cfg.ridge_beta),
-        "washout": str(cfg.washout),
-        "seed": str(cfg.seed),
-        "input_dim": str(cfg.input_dim),
-    }
+    header = {"kind": "classic", **format_fields(model.config)}
     arrays = [
         ("A", model.A.toarray()),
         ("W_in", model.W_in),
@@ -83,13 +112,9 @@ def _decode_monomials(text: str) -> tuple:
 def _ngrc_header_and_arrays(model: NgrcModel):
     if not model.trained:
         raise ValueError("only trained models can be serialized")
-    cfg = model.config
     header = {
         "kind": "ngrc",
-        "k": str(cfg.k),
-        "s": str(cfg.s),
-        "orders": ",".join(str(o) for o in cfg.orders),
-        "ridge_beta": _format_float(cfg.ridge_beta),
+        **format_fields(model.config),
         "input_dim": str(model.library.input_dim),
         "monomials": _encode_monomials(model.library),
     }
@@ -190,16 +215,7 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
         kind = fields.get("kind")
         arrays = _read_arrays(fields["arrays"], payload)
         if kind == "classic":
-            cfg = EsnConfig(
-                reservoir_dim=int(fields["reservoir_dim"]),
-                edge_prob=float(fields["edge_prob"]),
-                input_scale=float(fields["input_scale"]),
-                spectral_radius=float(fields["spectral_radius"]),
-                ridge_beta=float(fields["ridge_beta"]),
-                washout=int(fields["washout"]),
-                seed=int(fields["seed"]),
-                input_dim=int(fields["input_dim"]),
-            )
+            cfg = _config_from_header(EsnConfig, fields)
             d, n_in = cfg.reservoir_dim, cfg.input_dim
             _check_shapes(arrays, {
                 "A": (d, d), "W_in": (d, n_in), "P": (n_in, 2 * d), "r": (d,),
@@ -214,12 +230,7 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
                 last_sample=arrays["last_sample"],
             )
         if kind == "ngrc":
-            cfg = NgrcConfig(
-                k=int(fields["k"]),
-                s=int(fields["s"]),
-                orders=tuple(int(o) for o in fields["orders"].split(",")),
-                ridge_beta=float(fields["ridge_beta"]),
-            )
+            cfg = _config_from_header(NgrcConfig, fields)
             lib = MonomialLibrary(
                 input_dim=int(fields["input_dim"]),
                 monomials=_decode_monomials(fields["monomials"]),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,8 +59,8 @@ class NgrcConfig:
         if len(set(orders)) != len(orders):
             raise ValueError("orders must not repeat")
         object.__setattr__(self, "orders", tuple(int(o) for o in orders))
-        if self.ridge_beta < 0:
-            raise ValueError("ridge_beta must be >= 0")
+        if not (isfinite(self.ridge_beta) and self.ridge_beta >= 0):
+            raise ValueError("ridge_beta must be finite and >= 0")
 
     @property
     def warmup(self) -> int:

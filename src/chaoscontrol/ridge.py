@@ -17,6 +17,8 @@ No column scaling is applied; ``beta`` acts on the raw feature scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IllConditionedError
@@ -51,8 +53,8 @@ def ridge_fit(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarra
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("design and targets must be 2-d with matching row counts")
-    if beta < 0:
-        raise ValueError("ridge penalty must be non-negative")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError("ridge penalty must be finite and non-negative")
 
     try:
         u, s, vt = np.linalg.svd(x, full_matrices=False)

@@ -6,7 +6,7 @@ import pytest
 from chaoscontrol.cli import main
 from chaoscontrol.control import free_run
 from chaoscontrol.dynamics import Trajectory
-from chaoscontrol.errors import DivergenceError
+from chaoscontrol.errors import DivergenceError, IllConditionedError
 from chaoscontrol.experiments import write_trajectory_csv
 from chaoscontrol.modelio import load_model
 
@@ -200,10 +200,24 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, messag
         (b"control_gain = nan\n", "control_gain", "K must be finite"),
         # an undecodable file has no key to name, so the line names the file
         (b"horizon = 5\xff\n", "bad.cfg", "not a UTF-8 text file"),
+        (b"esn_ridge_beta = nan\n", "esn_ridge_beta", "ridge_beta must be finite"),
+        (b"ngrc_ridge_beta = nan\n", "ngrc_ridge_beta", "ridge_beta must be finite"),
+        (b"esn_input_scale = nan\n", "esn_input_scale", "input_scale must be finite"),
+        (
+            b"esn_spectral_radius = nan\n", "esn_spectral_radius",
+            "spectral_radius must be finite",
+        ),
+        (
+            b"esn_spectral_radius = inf\n", "esn_spectral_radius",
+            "spectral_radius must be finite",
+        ),
+        (b"transient_steps = -1\n", "transient_steps", "transient_steps must lie in"),
     ],
     ids=[
         "negative-seed", "zero-substeps", "nan-rho", "zero-order",
-        "huge-training-steps", "nan-gain", "non-utf8",
+        "huge-training-steps", "nan-gain", "non-utf8", "nan-esn-beta",
+        "nan-ngrc-beta", "nan-input-scale", "nan-spectral-radius",
+        "inf-spectral-radius", "negative-transient",
     ],
 )
 def test_bad_config_exits_2_with_one_line(
@@ -216,6 +230,40 @@ def test_bad_config_exits_2_with_one_line(
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and message in err
     assert names in err
+
+
+@pytest.mark.parametrize(
+    "command, content, code, message",
+    [
+        # the relaxation blows up in its first interval
+        ("simulate", b"dt = 5\n", 3, "integration error: "),
+        ("train", b"dt = 5\n", 3, "integration error: "),
+        ("control", b"dt = 5\n", 3, "integration error: "),
+        ("train", b"esn_edge_prob = 0\ntraining_steps = 300\n", 2, "training failed: "),
+    ],
+    ids=["huge-dt-simulate", "huge-dt-train", "huge-dt-control", "empty-reservoir-train"],
+)
+def test_failed_run_exits_with_one_line(
+    tmp_path, capsys, command, content, code, message
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(message)
+    if code == 3:
+        assert err.endswith("(step 1)\n")
+
+
+def test_ill_conditioned_fit_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise IllConditionedError("SVD of the design matrix failed (beta=0)")
+
+    monkeypatch.setattr("chaoscontrol.cli.prepare_trained_model", fail)
+    assert run_cli("train", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "training failed: SVD of the design matrix failed (beta=0)\n"
 
 
 def test_control_writes_experiment_bundle(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoscontrol import climate_stats, simulate
+from chaoscontrol import climate_stats, experiments, simulate
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.experiments import (
     MAX_STEPS,
@@ -233,6 +233,43 @@ def test_sweep_reruns_byte_identical(tmp_path, mini_sweep):
     run_sweep(spec, cfg, out_dir=str(rerun), jobs=1, timestamp=False)
     for name in ("sweep.csv", "summary.csv", "sweep_lambda.svg", "sweep_nu.svg"):
         assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(5000, 8, 3), (5000, 2, 2), (2, 8, 2), (2, 1, None)],
+    ids=["grid-bound", "core-bound", "jobs-bound", "single-core"],
+)
+def test_sweep_workers_capped(monkeypatch, jobs, cpus, workers):
+    # stand-ins for the process pool and the cells: nothing is forked and
+    # nothing is simulated, only the requested pool size is recorded
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    def fake_cell(args):
+        _, kind, n, realization = args
+        return SweepRow(kind, n, realization, 1.0, 1.0, "ok")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments, "_run_cell", fake_cell)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    # one classic cell and one cell per reference kind
+    spec = SweepSpec(training_lengths=(300,), n_realizations=1, kinds=("classic",))
+    result = run_sweep(spec, ExperimentConfig(), jobs=jobs)
+    assert requested == ([] if workers is None else [workers])
+    assert len(result.rows) == 3
 
 
 def test_timestamp_header_toggle(tmp_path, train_run_short):

@@ -4,7 +4,8 @@ Each example flips, inserts or deletes a few bytes of a valid model file or
 trajectory CSV and runs the CLI on the result.  Whatever the bytes, the
 CLI must keep its exit-code contract (0 success, 2 bad input, 3
 divergence), never let an exception escape ``main``, and explain a
-failure exit in exactly one stderr line.
+failure exit in exactly one stderr line.  Mutated config files are only
+parsed, never run: a valid config can ask for hours of work.
 """
 
 import contextlib
@@ -20,8 +21,15 @@ from hypothesis import strategies as st
 
 from chaoscontrol import EsnConfig, NgrcConfig, build_reservoir, save_model
 from chaoscontrol.cli import main
+from chaoscontrol.errors import ConfigError
 from chaoscontrol.esn import train as esn_train
-from chaoscontrol.experiments import write_trajectory_csv
+from chaoscontrol.experiments import (
+    ExperimentConfig,
+    config_from_mapping,
+    load_config_file,
+    write_trajectory_csv,
+)
+from chaoscontrol.modelio import format_fields
 from chaoscontrol.ngrc import train as ngrc_train
 
 from conftest import TRAIN_PARAMS, attractor_trajectory
@@ -45,6 +53,13 @@ def _valid_inputs() -> dict:
             write()
             with open(path, "rb") as fh:
                 files[name] = fh.read()
+    # every config key once, with a comment and a quoted value mixed in
+    lines = [f"{key} = {value}" for key, value in format_fields(ExperimentConfig()).items()]
+    lines += [
+        "# sweep grid", "sweep_lengths = 250, 500", "sweep_realizations = 3",
+        "sweep_kinds = 'classic ngrc'  # both kinds",
+    ]
+    files["config"] = "\n".join(lines).encode() + b"\n"
     return files
 
 
@@ -130,6 +145,27 @@ def test_overflowing_model_reports_one_line():
     code, err = _run_cli(data, ["predict", "--model", "{input}", "--steps", "5"])
     assert code == 3
     assert err.startswith("divergence:") and len(err.splitlines()) == 1, err
+
+
+@FUZZ
+@given(_mutations(VALID["config"]))
+def test_mutated_config_file_parses_or_is_config_error(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(_mutate(VALID["config"], edits))
+        try:
+            config_from_mapping(load_config_file(path))
+        except ConfigError:
+            pass
+
+
+def test_valid_config_file_parses(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(VALID["config"])
+    cfg, spec = config_from_mapping(load_config_file(path))
+    assert cfg == ExperimentConfig()
+    assert spec.training_lengths == (250, 500) and spec.kinds == ("classic", "ngrc")
 
 
 @FUZZ

@@ -1,5 +1,10 @@
+from dataclasses import fields
+from typing import Optional, get_type_hints
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscontrol import (
     EsnConfig,
@@ -11,7 +16,8 @@ from chaoscontrol import (
 from chaoscontrol.cli import main as cli_main
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.esn import train as esn_train
-from chaoscontrol.modelio import FORMAT_MAGIC
+from chaoscontrol.experiments import PREDICTOR_KINDS, ExperimentConfig, SweepSpec
+from chaoscontrol.modelio import FORMAT_MAGIC, field_parsers, format_fields
 from chaoscontrol.ngrc import train as ngrc_train
 
 
@@ -124,3 +130,37 @@ def test_malformed_header_is_config_error(tmp_path, capsys, request, model, old,
 def test_unsupported_type_rejected():
     with pytest.raises(TypeError):
         save_model("/tmp/unused.ccm", object())
+
+
+# values every field of that type accepts in all four config classes;
+# (0, 1] reaches subnormal floats, the hardest case for the text format
+_FIELD_VALUES = {
+    int: st.integers(2, 10**6),
+    float: st.floats(0.0, 1.0, exclude_min=True),
+    str: st.sampled_from(PREDICTOR_KINDS),
+    Optional[int]: st.none() | st.integers(0, 10**6),
+    tuple[int, ...]: st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True)
+    .map(sorted).map(tuple),
+    tuple[str, ...]: st.lists(st.sampled_from(PREDICTOR_KINDS), min_size=1, max_size=3)
+    .map(tuple),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [ExperimentConfig, SweepSpec, EsnConfig, NgrcConfig], ids=lambda c: c.__name__
+)
+def test_config_fields_round_trip_through_text(cls):
+    hints = get_type_hints(cls)
+    configs = st.builds(
+        cls, **{f.name: _FIELD_VALUES[hints[f.name]] for f in fields(cls)}
+    )
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(configs)
+    def check(cfg):
+        text = format_fields(cfg)
+        assert list(text) == [f.name for f in fields(cls)]
+        parsed = {name: parse(text[name]) for name, parse in field_parsers(cls).items()}
+        assert cls(**parsed) == cfg
+
+    check()

@@ -51,8 +51,10 @@ def test_input_validation():
         ridge_fit(x[0], y, 1e-4)
     with pytest.raises(ValueError):
         ridge_fit(x, y[:4], 1e-4)
-    with pytest.raises(ValueError):
-        ridge_fit(x, y, -1e-4)
+    for beta in (-1e-4, float("nan"), float("inf")):
+        # a nan penalty fails every filter-factor test: an all-zero readout
+        with pytest.raises(ValueError):
+            ridge_fit(x, y, beta)
 
 
 def test_rank_deficient_design_is_handled():
