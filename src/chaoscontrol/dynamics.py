@@ -209,7 +209,18 @@ def relax_to_attractor(
     cfg: IntegratorConfig,
     transient_steps: int = 1000,
 ) -> np.ndarray:
-    """Integrate through a discarded transient and return the final state."""
+    """Integrate through a discarded transient and return the final state.
+
+    Raises:
+        IntegrationError: its message names the relaxation, and its step
+            counts from the start of the transient.
+    """
     if transient_steps < 1:
         return np.asarray(u0, dtype=float).copy()
-    return simulate(u0, p, cfg, transient_steps).samples[-1]
+    try:
+        return simulate(u0, p, cfg, transient_steps).samples[-1]
+    except IntegrationError as exc:
+        raise IntegrationError(
+            f"{exc} during the discarded relaxation onto the attractor",
+            step=exc.step,
+        ) from exc

@@ -34,18 +34,22 @@ class DivergenceError(ChaosControlError):
         self.step = step
 
 
-def check_prediction(v, bound: float, step: int) -> None:
-    """Raise DivergenceError (phase "predict") unless every |c| <= bound.
+def check_prediction(v, bound: float, step: int) -> list:
+    """Return ``v`` as Python floats, or raise DivergenceError (phase "predict")
+    unless every |c| <= bound.
 
     ``v`` is the array a predictor emits at ``step``.  NaN and inf fail the
     comparison, so they count as out of bound.  Plain Python floats make
     this several times cheaper than numpy reductions on the 3-vectors a
-    predictor emits each step.
+    predictor emits each step, and the caller keeps them as the stepper's
+    ``floats``.
     """
-    if not all(abs(c) <= bound for c in v.tolist()):
+    floats = v.tolist()
+    if not all(abs(c) <= bound for c in floats):
         raise DivergenceError(
             f"autonomous prediction left |v| <= {bound:g}", phase="predict", step=step
         )
+    return floats
 
 
 class IllConditionedError(ChaosControlError):

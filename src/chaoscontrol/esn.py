@@ -184,7 +184,7 @@ def train(m: EsnModel, data: Trajectory) -> np.ndarray:
 
     Raises:
         InsufficientDataError: fewer than washout+2 samples.
-        IllConditionedError: Gram solve failure (propagated).
+        IllConditionedError: ridge solve failure (propagated).
     """
     cfg = m.config
     samples = data.samples
@@ -233,12 +233,13 @@ class _EsnStepper:
         self._bound = bound
         self._step = 0
         self.dim = self._P.shape[0]
+        self.floats = []  # the latest v as Python floats
 
     def step(self) -> np.ndarray:
         """Emit v = P {r, r^2}, then feed v back as the next input."""
         v = self._P @ self._aug
         self._step += 1
-        check_prediction(v, self._bound, self._step)
+        self.floats = check_prediction(v, self._bound, self._step)
         _reservoir_update(self._A, self._W_in, self._r, v, out=self._r)
         np.multiply(self._r, self._r, out=self._r2)
         return v

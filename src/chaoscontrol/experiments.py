@@ -226,13 +226,17 @@ _SWEEP_KEYS = {
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat key=value config file ('#' comments, blank lines ok)."""
+    """Parse a flat key=value config file ('#' comments, blank lines ok).
+
+    A key given twice is a ConfigError, like an unknown one: the file would
+    otherwise run with whichever value came last.
+    """
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-    mapping = {}
+    mapping, key_lines = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -240,7 +244,13 @@ def load_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        mapping[key.strip()] = value.strip().strip("\"'")
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} already set on line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
+        mapping[key] = value.strip().strip("\"'")
     return mapping
 
 

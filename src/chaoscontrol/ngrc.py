@@ -238,6 +238,7 @@ class _NgrcStepper:
         self._taps = np.ones(self._k * self.dim + 1)
         self._bound = bound
         self._step = 0
+        self.floats = []  # the latest v as Python floats
 
     def step(self) -> np.ndarray:
         d, s = self.dim, self._s
@@ -245,7 +246,7 @@ class _NgrcStepper:
             self._taps[i * d : (i + 1) * d] = self._buf[-1 - i * s]
         v = self._buf[-1] + self._W @ _products(self._taps, self._table)
         self._step += 1
-        check_prediction(v, self._bound, self._step)
+        self.floats = check_prediction(v, self._bound, self._step)
         if len(self._buf) > 1:
             self._buf[:-1] = self._buf[1:]
         self._buf[-1] = v

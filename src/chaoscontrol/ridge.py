@@ -2,17 +2,23 @@
 
 Both predictor families train their readout by minimising
 ``sum ||W x_t - y_t||^2 + beta ||W||_F^2`` over the rows of a design
-matrix.  The minimiser is the solution of the regularized normal
-equations ``(X^T X + beta I) W^T = X^T Y``; it is computed here through
-the SVD of the design matrix, which is algebraically identical but does
-not square the condition number.  Forming the Gram matrix explicitly
-loses half the available precision, and with penalties as small as 1e-11
-against feature columns spanning ten orders of magnitude that loss is
-fatal: readouts fitted from the explicit normal equations track the
-training rows but are dominated by noise along the weak singular
-directions and destabilise closed-loop prediction.  Directions below the
-``RIDGE_RCOND`` numerical-rank cutoff are excluded for the same reason.
-No column scaling is applied; ``beta`` acts on the raw feature scale.
+matrix X.  The minimiser solves the regularized normal equations
+``(X^T X + beta I) W^T = X^T Y``; it is computed here from one Householder
+QR of the design, which is algebraically identical but does not square the
+condition number.  Forming the Gram matrix explicitly loses half the
+available precision, and with penalties as small as 1e-11 against feature
+columns spanning ten orders of magnitude that loss is fatal: readouts
+fitted from the explicit normal equations track the training rows but are
+dominated by noise along the weak singular directions and destabilise
+closed-loop prediction.
+
+With X = Q R, the SVD of the small factor R = U_R diag(s) V^T is the SVD of
+X with U = Q U_R, so the readout ``V diag(s/(s^2 + beta)) U^T Y`` only
+needs Q^T Y.  ``scipy.linalg.qr_multiply`` applies the reflectors to Y
+without ever forming Q, and neither Q nor U (as tall as the design) is
+built.  Directions below the ``RIDGE_RCOND`` numerical-rank cutoff are
+excluded.  No column scaling is applied; ``beta`` acts on the raw feature
+scale.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import qr_multiply
 
 from .errors import IllConditionedError
 
@@ -46,8 +53,8 @@ def ridge_fit(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarra
         beta: non-negative penalty on the squared Frobenius norm of the readout.
 
     Raises:
-        IllConditionedError: if the factorization fails or the readout is
-            not finite.
+        IllConditionedError: if the design or the targets hold NaN or inf,
+            the factorization fails, or the readout is not finite.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -55,25 +62,35 @@ def ridge_fit(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarra
         raise ValueError("design and targets must be 2-d with matching row counts")
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("ridge penalty must be finite and non-negative")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise IllConditionedError(
+            f"design or targets hold NaN or inf (beta={beta:g})"
+        )
+    if x.size == 0:
+        # no rows or no features: nothing to fit, and LAPACK's QR rejects
+        # a design without columns
+        return np.zeros((y.shape[1], x.shape[1]))
 
     try:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        # (Y^T Q)^T = Q^T Y and R of the economy QR, Q never formed
+        yt_q, r = qr_multiply(x, y.T, mode="right")
+        u_r, s, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
-            f"SVD of the design matrix failed (beta={beta:g})"
+            f"QR or SVD of the design matrix failed (beta={beta:g})"
         ) from exc
     # filter factors s/(s^2+beta) on the numerically significant directions;
     # beta=0 degenerates to the truncated pseudoinverse.  Overflow in s*s
     # is benign: an inf denominator zeroes the direction's factor.
     with np.errstate(over="ignore"):
         denom = s * s + beta
-        significant = s >= RIDGE_RCOND * s[0] if s.size else s.astype(bool)
+        significant = s >= RIDGE_RCOND * s[0]
         factors = np.where(
             significant & (denom > 0),
             np.divide(s, np.where(denom > 0, denom, 1.0)),
             0.0,
         )
-    w = (vt.T * factors) @ (u.T @ y)
+    w = (vt.T * factors) @ (u_r.T @ yt_q.T)
     if not np.all(np.isfinite(w)):
         raise IllConditionedError(
             f"ridge solve produced non-finite readout (beta={beta:g})"

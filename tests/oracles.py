@@ -2,11 +2,11 @@
 
 Each oracle recomputes a quantity the package derives, through a
 different algorithm (explicit normal equations, tangent-space exponent
-integration, exhaustive enumeration), so agreement is evidence rather
-than tautology.  The generic RK4 step, the reservoir loops and the
-per-offset divergence curve are the exception: they are the textbook
-arithmetic that the package's fused or buffered loops must reproduce bit
-for bit.
+integration, exhaustive enumeration, the SVD of the whole design), so
+agreement is evidence rather than tautology.  The generic RK4 step, the
+reservoir loops and the per-offset divergence curve are the exception:
+they are the textbook arithmetic that the package's fused or buffered
+loops must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from chaoscontrol import LorenzParams
 from chaoscontrol.errors import InsufficientDataError
+from chaoscontrol.ridge import RIDGE_RCOND
 
 
 def ridge_normal_equations(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarray:
@@ -31,6 +32,21 @@ def ridge_normal_equations(design: np.ndarray, targets: np.ndarray, beta: float)
     y = np.asarray(targets, dtype=float)
     gram = x.T @ x + beta * np.eye(x.shape[1])
     return np.linalg.solve(gram, x.T @ y).T
+
+
+def ridge_svd(design: np.ndarray, targets: np.ndarray, beta: float) -> tuple:
+    """Ridge readout through the SVD of the whole design, with U formed.
+
+    X = U diag(s) V^T, filter factors s/(s^2 + beta) on the directions at
+    or above ``RIDGE_RCOND`` times s[0], readout V diag(f) U^T Y.  Returns
+    (readout in (targets, features) shape, singular values, filter factors).
+    """
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    keep = s >= RIDGE_RCOND * s[0]
+    factors = np.where(keep, s / (s * s + beta), 0.0)
+    return ((vt.T * factors) @ (u.T @ y)).T, s, factors
 
 
 def lorenz_deriv(u, p: LorenzParams) -> np.ndarray:

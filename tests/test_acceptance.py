@@ -294,6 +294,8 @@ def test_a8_integrator_order_and_zero_gain():
     u0 = plain.samples[0]
 
     class _FrozenStepper:
+        floats = u0.tolist()
+
         def step(self):
             return u0
 

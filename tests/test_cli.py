@@ -212,12 +212,16 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, messag
             "spectral_radius must be finite",
         ),
         (b"transient_steps = -1\n", "transient_steps", "transient_steps must lie in"),
+        (
+            b"training_steps = 500\n# shorter\ntraining_steps = 400\n",
+            "bad.cfg:3", "key 'training_steps' already set on line 1",
+        ),
     ],
     ids=[
         "negative-seed", "zero-substeps", "nan-rho", "zero-order",
         "huge-training-steps", "nan-gain", "non-utf8", "nan-esn-beta",
         "nan-ngrc-beta", "nan-input-scale", "nan-spectral-radius",
-        "inf-spectral-radius", "negative-transient",
+        "inf-spectral-radius", "negative-transient", "repeated-key",
     ],
 )
 def test_bad_config_exits_2_with_one_line(
@@ -253,6 +257,9 @@ def test_failed_run_exits_with_one_line(
     assert len(err.splitlines()) == 1
     assert err.startswith(message)
     if code == 3:
+        # the step counts from the start of the discarded relaxation, and
+        # the line says so
+        assert "during the discarded relaxation onto the attractor" in err
         assert err.endswith("(step 1)\n")
 
 

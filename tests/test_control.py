@@ -26,7 +26,9 @@ class ReplayStepper:
         self._it = iter(np.asarray(samples, dtype=float))
 
     def step(self):
-        return next(self._it)
+        v = next(self._it)
+        self.floats = v.tolist()
+        return v
 
 
 def test_config_validation():

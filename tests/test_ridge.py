@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from chaoscontrol import ridge_fit
 from chaoscontrol.errors import IllConditionedError
+from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
+from chaoscontrol.ridge import RIDGE_RCOND
 
-from oracles import ridge_normal_equations
+from oracles import esn_harvest, ridge_normal_equations, ridge_svd
 
 
 def _instance(rng, rows, cols, targets=3):
@@ -101,3 +103,58 @@ def test_wide_pathological_matrix_raises_or_stays_finite():
     except IllConditionedError:
         return
     assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("where", ["design", "targets"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(where, value):
+    rng = np.random.default_rng(5)
+    x, y = _instance(rng, 20, 4)
+    (x if where == "design" else y)[7, 1] = value
+    with pytest.raises(IllConditionedError, match="NaN or inf"):
+        ridge_fit(x, y, 1e-6)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (5, 0), (0, 0)])
+def test_empty_design_gives_zero_readout(rows, cols):
+    w = ridge_fit(np.zeros((rows, cols)), np.zeros((rows, 3)), 1e-6)
+    assert w.shape == (3, cols)
+    assert not np.any(w)
+
+
+def _fit_and_kept_rank(monkeypatch, x, y, beta):
+    """``ridge_fit``'s readout and the rank it keeps, read off its SVD call."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        out = svd(*args, **kwargs)
+        seen.append(out[1])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        w = ridge_fit(x, y, beta)
+    (s,) = seen
+    return w, int(np.count_nonzero(s >= RIDGE_RCOND * s[0]))
+
+
+@pytest.mark.parametrize("n", [5000, 250], ids=["tall-3999x600", "wide-199x600"])
+def test_qr_route_matches_full_svd_oracle(monkeypatch, n):
+    # the real seed-0 ESN design at training length n, captured by the
+    # textbook drive as in test_harvest_matches_oracle_drive
+    training, model = prepare_trained_model(ExperimentConfig(training_steps=n))
+    x, _ = esn_harvest(model, training.samples)
+    y = training.samples[model.config.washout + 1 :]
+    beta = model.config.ridge_beta
+    got, rank = _fit_and_kept_rank(monkeypatch, x, y, beta)
+    want, s, factors = ridge_svd(x, y, beta)
+    assert rank == np.count_nonzero(factors) < x.shape[1]
+    # the fitted outputs agree to 1e-12 relative.  The coefficients carry
+    # last-bit differences of U^T Y amplified by up to s[0] max f (about
+    # 3e7 here), so they are held to that condition number times epsilon.
+    scale = np.abs(x @ want.T).max()
+    assert np.abs(x @ got.T - x @ want.T).max() <= 1e-12 * scale
+    amplification = s[0] * factors.max()
+    tol = np.finfo(float).eps * amplification * np.abs(want).max()
+    assert np.abs(got - want).max() <= tol
