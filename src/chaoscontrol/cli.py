@@ -54,7 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--seed", type=int, metavar="INT", help="override master seed")
     parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, metavar="INT", help="worker processes")
     parser.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -97,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="training-length sweep with reference climates")
+    p.add_argument("--jobs", type=int, default=1, metavar="INT", help="worker processes")
     _add_common(p)
 
     p = sub.add_parser("snapshot", help="export the exact training series")
@@ -243,8 +243,10 @@ def _cmd_metrics(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     result = run_sweep(
-        spec, cfg, out_dir=args.out, jobs=max(1, args.jobs),
+        spec, cfg, out_dir=args.out, jobs=args.jobs,
         timestamp=not args.no_timestamp,
     )
     for row in result.summary:

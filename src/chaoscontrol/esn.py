@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 MAX_SAMPLING_ATTEMPTS = 10
+# rows of the C-order staging block of the state harvest (see ``_harvest``)
+HARVEST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,33 @@ def advance_state(m: EsnModel, u) -> np.ndarray:
     return m.r
 
 
+def _harvest(a: sparse.csr_matrix, w_in: np.ndarray, r: np.ndarray,
+             inputs: np.ndarray) -> np.ndarray:
+    """Drive the reservoir through ``inputs`` and return the {r, r^2} rows.
+
+    The design comes back column-major, the layout LAPACK's QR factors in
+    place.  Rows are written to a C-order block of ``HARVEST_BLOCK`` rows
+    and each block is copied over at once: writing the rows straight into
+    the column-major array is a strided store per element.  ``r`` is
+    the state before the first input and is left holding the state after
+    the last; ``_check_square(a, r)`` must hold.
+    """
+    d = len(r)
+    design = np.empty((len(inputs), 2 * d), order="F")
+    block = np.empty((HARVEST_BLOCK, 2 * d))
+    state = r
+    for start in range(0, len(inputs), HARVEST_BLOCK):
+        chunk = inputs[start : start + HARVEST_BLOCK]
+        rows = block[: len(chunk)]
+        # each row is {r, r^2}, and r is written in place as its first half
+        for row, u in zip(rows, chunk):
+            state = _reservoir_update(a, w_in, state, u, out=row[:d])
+            np.multiply(state, state, out=row[d:])
+        design[start : start + len(chunk)] = rows
+    r[:] = state
+    return design
+
+
 def train(m: EsnModel, data: Trajectory) -> np.ndarray:
     """Fit the readout on next-step targets and synchronize the model.
 
@@ -199,13 +228,13 @@ def train(m: EsnModel, data: Trajectory) -> np.ndarray:
     _check_square(a, r)
     for u in samples[: cfg.washout]:
         r = _reservoir_update(a, w_in, r, u, out=r)
-    # each harvested row is {r, r^2}, and r is written in place as its first half
-    states = np.empty((n - 1 - cfg.washout, 2 * d))
-    for row, u in zip(states, samples[cfg.washout : n - 1]):
-        r = _reservoir_update(a, w_in, r, u, out=row[:d])
-        np.multiply(r, r, out=row[d:])
     targets = samples[cfg.washout + 1 :]
-    m.P = ridge_fit(states, targets, cfg.ridge_beta)
+    # the harvest is bound to no name here, so the QR factors it in place
+    # and ridge_fit frees it before the SVD
+    m.P = ridge_fit(
+        _harvest(a, w_in, r, samples[cfg.washout : n - 1]),
+        targets, cfg.ridge_beta, overwrite_design=True,
+    )
     # ingest the final sample so prediction continues past the data
     m.r = r
     advance_state(m, samples[-1])

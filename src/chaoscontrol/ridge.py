@@ -19,6 +19,16 @@ without ever forming Q, and neither Q nor U (as tall as the design) is
 built.  Directions below the ``RIDGE_RCOND`` numerical-rank cutoff are
 excluded.  No column scaling is applied; ``beta`` acts on the raw feature
 scale.
+
+LAPACK factors a column-major array in place.  The design is the largest
+array of a fit, so it is never copied more than once: a caller that owns
+a column-major float64 design (the reservoir harvest) passes
+``overwrite_design=True`` and the QR overwrites it, and any other design
+is copied once into column-major order.  Either way the factored buffer
+is released before the SVD, so a caller that keeps no reference of its
+own has it freed before the SVD's workspace is allocated.  The layout
+does not change the arithmetic: C- and F-order inputs give the same
+readout bit for bit.
 """
 
 from __future__ import annotations
@@ -44,13 +54,18 @@ __all__ = ["ridge_fit", "RIDGE_RCOND"]
 RIDGE_RCOND = 3e-8
 
 
-def ridge_fit(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarray:
+def ridge_fit(
+    design: np.ndarray, targets: np.ndarray, beta: float, *, overwrite_design: bool = False
+) -> np.ndarray:
     """Solve the ridge problem, returning the readout in (targets, features) shape.
 
     Args:
         design: (n_rows, n_features) matrix of regressor rows.
         targets: (n_rows, n_targets) matrix of regression targets.
         beta: non-negative penalty on the squared Frobenius norm of the readout.
+        overwrite_design: let the QR overwrite ``design``, which then holds
+            no meaningful values.  Honoured only for an F-contiguous,
+            writeable float64 array; any other design is copied as usual.
 
     Raises:
         IllConditionedError: if the design or the targets hold NaN or inf,
@@ -71,9 +86,13 @@ def ridge_fit(design: np.ndarray, targets: np.ndarray, beta: float) -> np.ndarra
         # a design without columns
         return np.zeros((y.shape[1], x.shape[1]))
 
+    if not (overwrite_design and x.flags.f_contiguous and x.flags.writeable):
+        x = np.array(x, order="F")
     try:
-        # (Y^T Q)^T = Q^T Y and R of the economy QR, Q never formed
-        yt_q, r = qr_multiply(x, y.T, mode="right")
+        # (Y^T Q)^T = Q^T Y and R of the economy QR, Q never formed; the
+        # reflectors overwrite x, which is dropped before the SVD
+        yt_q, r = qr_multiply(x, y.T, mode="right", overwrite_a=True)
+        del design, x
         u_r, s, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(

@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from chaoscontrol import (
     relax_to_attractor,
     simulate,
 )
+from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
 
 INTEGRATOR = IntegratorConfig(dt=0.05, substeps=5)
 TRAIN_PARAMS = LorenzParams(sigma=10.0, rho=166.15, beta=8.0 / 3.0)
@@ -41,3 +43,15 @@ def train_run_short():
 def train_run_long():
     """Horizon-length intermittent-regime series for climate estimates."""
     return attractor_trajectory(TRAIN_PARAMS, 10_000, seed=11)
+
+
+@pytest.fixture(scope="session")
+def seed0_classic():
+    """(training series, trained model) of the default seed-0 classic
+    experiment at a given training length, each length built once."""
+
+    @functools.lru_cache(maxsize=None)
+    def build(training_steps):
+        return prepare_trained_model(ExperimentConfig(training_steps=training_steps))
+
+    return build

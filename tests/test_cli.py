@@ -168,10 +168,14 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
          "config error: --steps must be >= 0"),
         (None, ["metrics", "--input", "{out}"], "error: [Errno"),
         (None, ["predict", "--model", "{out}"], "error: [Errno"),
+        # rejected before the default grid would start
+        (None, ["sweep", "--jobs", "0"], "config error: --jobs must be >= 1, got 0"),
+        (None, ["sweep", "--jobs", "-3"], "config error: --jobs must be >= 1, got -3"),
     ],
     ids=[
         "metrics-short-series", "simulate-zero-steps", "predict-negative-steps",
-        "metrics-directory-input", "predict-directory-model",
+        "metrics-directory-input", "predict-directory-model", "sweep-zero-jobs",
+        "sweep-negative-jobs",
     ],
 )
 def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, message):

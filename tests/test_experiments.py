@@ -235,6 +235,26 @@ def test_sweep_reruns_byte_identical(tmp_path, mini_sweep):
         assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_sweep_process_pool_matches_serial(monkeypatch, tmp_path, mini_sweep):
+    # a real two-worker pool on the fixture's grid: the cells are seeded by
+    # their coordinates, so the outputs cannot depend on which worker ran them
+    spec, cfg, out, _ = mini_sweep
+    pools = []
+    real_pool = experiments.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    pooled = tmp_path / "pooled"
+    run_sweep(spec, cfg, out_dir=str(pooled), jobs=2, timestamp=False)
+    assert pools == [2]
+    for name in ("sweep.csv", "summary.csv", "sweep_lambda.svg", "sweep_nu.svg"):
+        assert (pooled / name).read_bytes() == (out / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "jobs, cpus, workers",
     [(5000, 8, 3), (5000, 2, 2), (2, 8, 2), (2, 1, None)],

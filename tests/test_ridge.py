@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from chaoscontrol import ridge_fit
 from chaoscontrol.errors import IllConditionedError
-from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
 from chaoscontrol.ridge import RIDGE_RCOND
 
 from oracles import esn_harvest, ridge_normal_equations, ridge_svd
@@ -139,14 +140,26 @@ def _fit_and_kept_rank(monkeypatch, x, y, beta):
     return w, int(np.count_nonzero(s >= RIDGE_RCOND * s[0]))
 
 
-@pytest.mark.parametrize("n", [5000, 250], ids=["tall-3999x600", "wide-199x600"])
-def test_qr_route_matches_full_svd_oracle(monkeypatch, n):
-    # the real seed-0 ESN design at training length n, captured by the
-    # textbook drive as in test_harvest_matches_oracle_drive
-    training, model = prepare_trained_model(ExperimentConfig(training_steps=n))
+def _esn_problem(seed0_classic, n):
+    """The real seed-0 ESN design at training length n, its targets and beta.
+
+    The design is captured by the textbook drive, as in
+    test_harvest_matches_oracle_drive, and comes back read-only.
+    """
+    training, model = seed0_classic(n)
     x, _ = esn_harvest(model, training.samples)
-    y = training.samples[model.config.washout + 1 :]
-    beta = model.config.ridge_beta
+    x.flags.writeable = False
+    return x, training.samples[model.config.washout + 1 :], model.config.ridge_beta
+
+
+ESN_SHAPES = pytest.mark.parametrize(
+    "n", [5000, 250], ids=["tall-3999x600", "wide-199x600"]
+)
+
+
+@ESN_SHAPES
+def test_qr_route_matches_full_svd_oracle(monkeypatch, seed0_classic, n):
+    x, y, beta = _esn_problem(seed0_classic, n)
     got, rank = _fit_and_kept_rank(monkeypatch, x, y, beta)
     want, s, factors = ridge_svd(x, y, beta)
     assert rank == np.count_nonzero(factors) < x.shape[1]
@@ -158,3 +171,81 @@ def test_qr_route_matches_full_svd_oracle(monkeypatch, n):
     amplification = s[0] * factors.max()
     tol = np.finfo(float).eps * amplification * np.abs(want).max()
     assert np.abs(got - want).max() <= tol
+
+
+@ESN_SHAPES
+def test_readout_independent_of_design_layout(seed0_classic, n):
+    # each design reaches LAPACK as the same values in column-major order:
+    # a C-order one copied over, an F-order one copied as it is or, on
+    # request, factored in place
+    x, y, beta = _esn_problem(seed0_classic, n)
+    want = ridge_fit(x, y, beta)
+    assert np.array_equal(ridge_fit(np.asfortranarray(x), y, beta), want)
+    assert np.array_equal(
+        ridge_fit(np.asfortranarray(x), y, beta, overwrite_design=True), want
+    )
+
+
+def _read_only_fortran(x):
+    x = np.array(x, order="F")
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda x: np.asfortranarray(x.astype(np.float32)),
+        lambda x: np.asfortranarray(np.hstack([x, x]))[:, ::2],
+        _read_only_fortran,
+    ],
+    ids=["float32", "strided", "read-only"],
+)
+def test_overwrite_request_falls_back_to_a_copy(prepare):
+    # in place only for a writeable F-contiguous float64 design; any other
+    # design is copied, left as it was and fitted as with the default
+    rng = np.random.default_rng(12)
+    x, y = _instance(rng, 30, 6)
+    design = prepare(x)
+    before = design.copy(order="K")
+    got = ridge_fit(design, y, 1e-6, overwrite_design=True)
+    assert np.array_equal(got, ridge_fit(design, y, 1e-6))
+    assert np.array_equal(design, before) and design.dtype == before.dtype
+
+
+def test_overwrite_request_factors_in_place():
+    # the flag is honoured: a column-major float64 design is overwritten
+    rng = np.random.default_rng(13)
+    x, y = _instance(rng, 30, 6)
+    design = np.asfortranarray(x)
+    want = ridge_fit(design, y, 1e-6)
+    assert np.array_equal(ridge_fit(design, y, 1e-6, overwrite_design=True), want)
+    assert not np.array_equal(design, x)
+
+
+@pytest.mark.parametrize(
+    "order, overwrite",
+    [("C", False), ("F", False), ("strided", True)],
+    ids=["c-order", "f-order", "strided-overwrite"],
+)
+def test_copying_fit_keeps_design_and_holds_one_copy(order, overwrite):
+    # the caller's design is left bit for bit as it was.  Traced peak over
+    # the design's bytes: 1.18 measured with the one column-major copy plus
+    # the 300x300 factor R; a C-order copy, which LAPACK copies twice more,
+    # reads 3.0, and a strided design passed on to LAPACK as it is reads 2.0
+    rng = np.random.default_rng(14)
+    x, y = _instance(rng, 2000, 300)
+    design = {
+        "C": x,
+        "F": np.asfortranarray(x),
+        "strided": np.asfortranarray(np.hstack([x, x]))[:, ::2],
+    }[order]
+    before = design.copy(order="K")
+    tracemalloc.start()
+    try:
+        ridge_fit(design, y, 1e-6, overwrite_design=overwrite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.tobytes() == before.tobytes()
+    assert x.nbytes <= peak <= 1.3 * x.nbytes
