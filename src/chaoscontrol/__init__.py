@@ -6,6 +6,17 @@ feedback force from the trained predictor, and scores the controlled system
 by its attractor climate (largest Lyapunov exponent, correlation dimension).
 """
 
+import os
+
+# BLAS results (the reservoir's spectral radius, the ridge readouts) change
+# in their last bits with OpenBLAS's thread count, so the package runs one
+# thread unless the caller has chosen a count.  numpy and scipy each load
+# their own OpenBLAS, which reads these variables once, when it loads:
+# they are set before the first numpy import.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .control import ControlConfig, ControlRun, free_run, run_control
 from .dynamics import (
     IntegratorConfig,

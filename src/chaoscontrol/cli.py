@@ -32,6 +32,7 @@ from .errors import (
     ReservoirSamplingError,
 )
 from .experiments import (
+    MAX_STEPS,
     ExperimentConfig,
     SweepSpec,
     attractor_series,
@@ -152,10 +153,18 @@ def _read_trajectory_csv(path) -> Trajectory:
     return Trajectory(dt, np.asarray(rows), t0=times[0])
 
 
-def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+def _steps(args, cfg: ExperimentConfig, low: int) -> int:
+    """``--steps``, or the horizon by default, checked against [low, MAX_STEPS]."""
     steps = args.steps if args.steps is not None else cfg.horizon
-    if steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {steps}")
+    if steps < low:
+        raise ConfigError(f"--steps must be >= {low}, got {steps}")
+    if steps > MAX_STEPS:
+        raise ConfigError(f"--steps must be <= {MAX_STEPS}, got {steps}")
+    return steps
+
+
+def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+    steps = _steps(args, cfg, 1)
     kind = "ref_train" if args.state == "train" else "ref_plant"
     traj = attractor_series(cfg, kind, 0, 0, steps)
     os.makedirs(args.out, exist_ok=True)
@@ -175,9 +184,7 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_predict(args, cfg: ExperimentConfig) -> int:
-    steps = args.steps if args.steps is not None else cfg.horizon
-    if steps < 0:
-        raise ConfigError(f"--steps must be >= 0, got {steps}")
+    steps = _steps(args, cfg, 0)
     model = load_model(args.model)
     traj = free_run(model.stepper(), steps, cfg.dt)
     os.makedirs(args.out, exist_ok=True)

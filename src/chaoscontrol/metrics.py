@@ -10,6 +10,8 @@ embedding is performed.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,21 @@ _FIRST_QUERY_K = 8
 _GP_BLOCK = 256
 
 
+def _median_halves(points: np.ndarray) -> tuple:
+    """The points split at the median of their widest axis."""
+    axis = np.argmax(np.ptp(points, axis=0))
+    half = len(points) // 2
+    order = np.argpartition(points[:, axis], half)
+    return points[order[:half]], points[order[half:]]
+
+
+def _cross_pair_counts(left: np.ndarray, right: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
+    """Pairs with one point in each set, per bin, each counted once."""
+    return cKDTree(left, **_TREE_FLAGS).count_neighbors(
+        cKDTree(right, **_TREE_FLAGS), r_grid, cumulative=False
+    )
+
+
 def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     """Ordered pairs, self-pairs included, per bin r[m-1] < d <= r[m].
 
@@ -162,16 +179,80 @@ def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     if len(points) <= _GP_BLOCK:
         tree = cKDTree(points, **_TREE_FLAGS)
         return tree.count_neighbors(tree, r_grid, cumulative=False)
-    axis = np.argmax(np.ptp(points, axis=0))
-    half = len(points) // 2
-    order = np.argpartition(points[:, axis], half)
-    left, right = points[order[:half]], points[order[half:]]
-    cross = cKDTree(left, **_TREE_FLAGS).count_neighbors(
-        cKDTree(right, **_TREE_FLAGS), r_grid, cumulative=False
-    )
+    left, right = _median_halves(points)
     return (
-        _binned_pair_counts(left, r_grid) + _binned_pair_counts(right, r_grid) + 2 * cross
+        _binned_pair_counts(left, r_grid) + _binned_pair_counts(right, r_grid)
+        + 2 * _cross_pair_counts(left, right, r_grid)
     )
+
+
+def _fork_counter(points: np.ndarray, r_grid: np.ndarray):
+    """Fork a child that writes ``_binned_pair_counts(points)`` to a pipe.
+
+    Returns (child pid, read end of the pipe), or None if no child could be
+    started.  The child inherits ``points`` without pickling and leaves
+    through ``os._exit``, so it runs no exit handler and flushes no buffer
+    of the parent's.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            counts = _binned_pair_counts(points, r_grid).astype(np.int64)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(counts.tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _two_process_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
+    """``_binned_pair_counts``, its top-level left half counted in a child.
+
+    ``cKDTree.count_neighbors`` holds the GIL, so only a second process
+    puts a second core to work.  While the forked child counts the left
+    half, the parent counts the pairs across the cut and the right half,
+    then reads the child's counts and reaps it.  If the fork fails or the
+    child delivers less than the full count, the parent counts the left
+    half itself; on any exception it kills and reaps the child before
+    re-raising.  The counts are exact integers, so they equal the
+    single-process ones.
+    """
+    if len(points) <= _GP_BLOCK:
+        return _binned_pair_counts(points, r_grid)
+    left, right = _median_halves(points)
+    child = _fork_counter(left, r_grid)
+    if child is None:
+        return _binned_pair_counts(points, r_grid)
+    pid, read_fd = child
+    n_bytes = len(r_grid) * np.dtype(np.int64).itemsize
+    with open(read_fd, "rb") as pipe:
+        try:
+            counts = _binned_pair_counts(right, r_grid) + 2 * _cross_pair_counts(
+                left, right, r_grid
+            )
+            # a buffered read returns short only at end of file
+            data = pipe.read(n_bytes)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    if len(data) < n_bytes:
+        return counts + _binned_pair_counts(left, r_grid)
+    return counts + np.frombuffer(data, dtype=np.int64)
 
 
 def correlation_dimension(
@@ -187,7 +268,8 @@ def correlation_dimension(
     NIPS 2000) over a median bisection of the points bin each distance
     between neighbouring thresholds, visiting a pair split by a cut once
     and counting it twice, and a cumulative sum turns the bins into the
-    closed-ball counts.  Returns
+    closed-ball counts.  A forked child counts one half of the first cut
+    while this process counts the rest.  Returns
     (nu, diagnostics); a collapsed trajectory (all counts zero) or a fit
     with R^2 < 0.9 is flagged on the diagnostics rather than raised.
     """
@@ -207,7 +289,7 @@ def correlation_dimension(
 
     r_grid = np.geomspace(cfg.r_min * diam, cfg.r_max * diam, cfg.n_r)
     # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
-    cum = np.cumsum(_binned_pair_counts(points, r_grid)) - n
+    cum = np.cumsum(_two_process_pair_counts(points, r_grid)) - n
     n_pairs = n * (n - 1)
     c_r = cum / n_pairs
 

@@ -1,3 +1,6 @@
+# chaoscontrol pins BLAS to one thread before numpy loads, so it comes first
+import chaoscontrol  # noqa: F401
+
 import functools
 import sys
 from pathlib import Path

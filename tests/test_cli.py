@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaoscontrol
 from chaoscontrol.cli import main
 from chaoscontrol.control import free_run
 from chaoscontrol.dynamics import Trajectory
@@ -166,6 +171,12 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
         (None, ["simulate", "--steps", "0"], "config error: --steps must be >= 1"),
         (["train", "--kind", "ngrc"], ["predict", "--model", "{out}/model.ccm", "--steps", "-1"],
          "config error: --steps must be >= 0"),
+        # rejected before any series is integrated or allocated
+        (None, ["simulate", "--steps", "100000001"],
+         "config error: --steps must be <= 100000000, got 100000001"),
+        (["train", "--kind", "ngrc"],
+         ["predict", "--model", "{out}/model.ccm", "--steps", "1000000000000"],
+         "config error: --steps must be <= 100000000, got 1000000000000"),
         (None, ["metrics", "--input", "{out}"], "error: [Errno"),
         (None, ["predict", "--model", "{out}"], "error: [Errno"),
         # rejected before the default grid would start
@@ -174,6 +185,7 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
     ],
     ids=[
         "metrics-short-series", "simulate-zero-steps", "predict-negative-steps",
+        "simulate-too-many-steps", "predict-too-many-steps",
         "metrics-directory-input", "predict-directory-model", "sweep-zero-jobs",
         "sweep-negative-jobs",
     ],
@@ -325,3 +337,39 @@ def test_snapshot_cli(tmp_path, capsys):
     svg = (tmp_path / "training_snapshot.svg").read_text()
     assert "washout end" in svg
     assert "wrote" in capsys.readouterr().out
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_cli_outputs(out, cfg, threads):
+    """Bytes written by ``train --kind classic`` and a one-cell sweep, each
+    run in a fresh interpreter with the BLAS thread variables unset
+    (``threads=None``) or set to ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    src = str(Path(chaoscontrol.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["train", "--kind", "classic"],
+                 ["sweep", "--config", str(cfg), "--no-timestamp"]):
+        subprocess.run(
+            [sys.executable, "-m", "chaoscontrol.cli", *argv, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_outputs_independent_of_unset_blas_thread_variables(tmp_path):
+    # OpenBLAS picks one thread per core when the variables are unset, and
+    # the spectral radius and ridge readout change in their last bits with
+    # the thread count; the package pins one thread unless the caller sets one
+    cfg = tmp_path / "one_cell.cfg"
+    cfg.write_text(
+        "sweep_lengths = 5000\nsweep_realizations = 1\nsweep_kinds = classic\n"
+        "horizon = 1200\n"
+    )
+    unset = _fresh_cli_outputs(tmp_path / "unset", cfg, None)
+    one = _fresh_cli_outputs(tmp_path / "one", cfg, "1")
+    assert {"model.ccm", "sweep.csv", "summary.csv"} <= unset.keys()
+    assert unset == one
