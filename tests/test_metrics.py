@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 
-from chaoscontrol import metrics
 from chaoscontrol import (
     GpConfig,
     LorenzParams,
@@ -12,6 +11,7 @@ from chaoscontrol import (
     climate_stats,
     correlation_dimension,
     largest_lyapunov,
+    metrics,
     simulate,
 )
 from chaoscontrol.cli import main as cli_main
