@@ -10,8 +10,10 @@ embedding is performed.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,11 @@ _FIRST_QUERY_K = 8
 # blocks add tree builds, larger ones revisit more ordered pairs twice
 # (128-512 all take 0.57-0.63 of a single self-count on 10k samples)
 _GP_BLOCK = 256
+# fewest points whose GP count forks a child: a fork plus reap costs 5-6 ms,
+# so on 2 vCPUs the forked count took 6-7 ms against 1.1 ms serial at 301
+# points, 14-18 against 7-8 ms at 1,200 and 0.73-1.26x of serial at 3,000;
+# from 3,500 points on it took 0.65-0.72x (medians of 20 calls)
+_GP_FORK_MIN = 4_000
 
 
 def _median_halves(points: np.ndarray) -> tuple:
@@ -184,6 +191,29 @@ def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
         _binned_pair_counts(left, r_grid) + _binned_pair_counts(right, r_grid)
         + 2 * _cross_pair_counts(left, right, r_grid)
     )
+
+
+def _fork_pays(n_points: int) -> bool:
+    """Whether the GP count of ``n_points`` points should fork a child.
+
+    Only from ``_GP_FORK_MIN`` points on, where the fork costs less than
+    it saves, and only where ``os.fork`` exists.  Not in a process with a
+    second thread: the child holds only the forking thread, and a lock
+    another thread held stays locked in it (importing numpy before
+    chaoscontrol leaves OpenBLAS a pool of threads).  Not in a process
+    started by multiprocessing, such as a sweep's pool worker: the pool
+    already keeps the cores busy.  And not without a second usable CPU.
+    """
+    if n_points < _GP_FORK_MIN or not hasattr(os, "fork"):
+        return False
+    if multiprocessing.parent_process() is not None:
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):
+        threads, cpus = threading.active_count(), os.cpu_count() or 1
+    return threads == 1 and cpus >= 2
 
 
 def _fork_counter(points: np.ndarray, r_grid: np.ndarray):
@@ -222,15 +252,16 @@ def _two_process_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarr
     """``_binned_pair_counts``, its top-level left half counted in a child.
 
     ``cKDTree.count_neighbors`` holds the GIL, so only a second process
-    puts a second core to work.  While the forked child counts the left
-    half, the parent counts the pairs across the cut and the right half,
-    then reads the child's counts and reaps it.  If the fork fails or the
-    child delivers less than the full count, the parent counts the left
-    half itself; on any exception it kills and reaps the child before
-    re-raising.  The counts are exact integers, so they equal the
+    puts a second core to work.  Where ``_fork_pays`` says no, this is the
+    single-process count.  Otherwise, while the forked child counts the
+    left half, the parent counts the pairs across the cut and the right
+    half, then reads the child's counts and reaps it.  If the fork fails
+    or the child delivers less than the full count, the parent counts the
+    left half itself; on any exception it kills and reaps the child
+    before re-raising.  The counts are exact integers, so they equal the
     single-process ones.
     """
-    if len(points) <= _GP_BLOCK:
+    if not _fork_pays(len(points)):
         return _binned_pair_counts(points, r_grid)
     left, right = _median_halves(points)
     child = _fork_counter(left, r_grid)
@@ -268,10 +299,11 @@ def correlation_dimension(
     NIPS 2000) over a median bisection of the points bin each distance
     between neighbouring thresholds, visiting a pair split by a cut once
     and counting it twice, and a cumulative sum turns the bins into the
-    closed-ball counts.  A forked child counts one half of the first cut
-    while this process counts the rest.  Returns
-    (nu, diagnostics); a collapsed trajectory (all counts zero) or a fit
-    with R^2 < 0.9 is flagged on the diagnostics rather than raised.
+    closed-ball counts.  On a series of at least ``_GP_FORK_MIN`` points,
+    in a single-threaded process with a second usable CPU, a forked child
+    counts one half of the first cut while this process counts the rest.
+    Returns (nu, diagnostics); a collapsed trajectory (all counts zero) or
+    a fit with R^2 < 0.9 is flagged on the diagnostics rather than raised.
     """
     points = traj.samples
     n = points.shape[0]

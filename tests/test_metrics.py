@@ -1,4 +1,8 @@
+import multiprocessing
 import os
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -218,7 +222,24 @@ def _no_child_left() -> bool:
     return False
 
 
-def test_forked_count_leaves_no_child(monkeypatch):
+def _await_fork_path(n):
+    # an earlier test's joined threads outlive their join by a moment, and
+    # the count forks only in a single-threaded process
+    deadline = time.monotonic() + 5.0
+    while not metrics._fork_pays(n) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def fork_small_counts(monkeypatch):
+    # the fork path on a short series, as on a host with two usable CPUs
+    monkeypatch.setattr(metrics, "_GP_FORK_MIN", _GP_BLOCK + 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _await_fork_path(_GP_BLOCK + 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_count_leaves_no_child(monkeypatch, fork_small_counts):
     forks = []
 
     def counting_fork():
@@ -227,15 +248,50 @@ def test_forked_count_leaves_no_child(monkeypatch):
 
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", counting_fork)
-    traj = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3)
-    _, diag = correlation_dimension(traj, GpConfig())
+    points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
+    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
     assert forks == [1]
-    assert diag.c[-1] > 0
+    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
+    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
     assert _no_child_left()
 
 
+def test_count_without_fork_matches_oracle(monkeypatch, fork_small_counts):
+    # a platform without os.fork (Windows) counts in one process
+    monkeypatch.delattr(os, "fork", raising=False)
+    points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
+    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
+    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
+    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_count_forks_only_where_it_pays(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n = metrics._GP_FORK_MIN
+    _await_fork_path(n)
+    assert metrics._fork_pays(n)
+    assert not metrics._fork_pays(n - 1)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        assert not metrics._fork_pays(n)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert not metrics._fork_pays(n)
+    finally:
+        stop.set()
+        other.join()
+    # a sweep's pool worker, forked from this process with its CPU count
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert not pool.submit(metrics._fork_pays, n).result()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("fault", ["child-dies", "child-short-count"])
-def test_failed_child_falls_back_to_parent_count(monkeypatch, fault):
+def test_failed_child_falls_back_to_parent_count(monkeypatch, fork_small_counts, fault):
     # the child dies before it writes, or writes half the bins and exits
     parent, real_counts, child_calls = os.getpid(), metrics._binned_pair_counts, []
 
