@@ -33,6 +33,7 @@ from .errors import (
 )
 from .experiments import (
     MAX_STEPS,
+    PREDICTOR_KINDS,
     ExperimentConfig,
     SweepSpec,
     attractor_series,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("train", help="fit the configured predictor, save the model")
-    p.add_argument("--kind", choices=("classic", "ngrc"), help="predictor kind override")
+    p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
     _add_common(p)
 
     p = sub.add_parser("predict", help="free-run a saved model")
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("control", help="full experiment: train, switch regime, control")
-    p.add_argument("--kind", choices=("classic", "ngrc"), help="predictor kind override")
+    p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
     _add_common(p)
 
     p = sub.add_parser("metrics", help="climate statistics of a trajectory CSV")
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("snapshot", help="export the exact training series")
-    p.add_argument("--kind", choices=("classic", "ngrc"), help="predictor kind override")
+    p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
     _add_common(p)
 
     return parser

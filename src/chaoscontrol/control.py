@@ -6,10 +6,10 @@ regime.  Each sampling interval the difference between the actual and the
 hypothetical state is injected as a constant force, scaled by K = 1/dt.
 
 Both predictor kinds are driven through one interface: ``model.stepper(bound)``
-returns a :class:`Stepper` whose ``step()`` emits the next ``dim``-vector,
-keeps it as Python floats in ``floats``, and raises DivergenceError (phase
-"predict") once a component leaves ``bound``.  :func:`free_run` and
-:func:`run_control` take a stepper.
+returns a :class:`Stepper` whose ``step()`` returns the next ``dim``-vector
+as a list of Python floats and raises DivergenceError (phase "predict") once
+a component leaves ``bound``.  :func:`free_run` and :func:`run_control` take
+a stepper.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ class Stepper(Protocol):
     """Autonomous one-step generator returned by ``model.stepper(bound)``."""
 
     dim: int
-    # the sample the latest step() emitted, as Python floats
-    floats: list
 
-    def step(self) -> np.ndarray: ...
+    def step(self) -> list: ...
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,9 @@ def run_control(
     With K=0 the injected force vanishes and the plant path is bit-identical
     to an unforced simulation from u0.
 
-    The loop reads each predictor output as Python floats (the stepper's
-    ``floats``, converted once by its bound check) and keeps the plant
-    state in Python floats.  The arithmetic is the same IEEE double
+    The loop takes each predictor output as the Python floats ``step()``
+    returns (converted once, by the stepper's bound check) and keeps the
+    plant state in Python floats.  The arithmetic is the same IEEE double
     arithmetic as on ``np.float64`` scalars, so the results are bitwise the
     same, but numpy scalars would make every scalar RK4 stage several times
     slower.  Plant states and predictor outputs go to two flat
@@ -124,8 +122,7 @@ def run_control(
     k = cfg.K
 
     x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
-    stepper.step()
-    vx, vy, vz = stepper.floats  # Python floats, see the docstring
+    vx, vy, vz = stepper.step()  # Python floats, see the docstring
     plant = array("d", (x, y, z))
     hypothetical = array("d", (vx, vy, vz))
     bound = DIVERGENCE_BOUND  # a local name is cheaper in the loop
@@ -143,8 +140,7 @@ def run_control(
                 phase="control", step=t + 1,
             )
         plant.extend((x, y, z))
-        stepper.step()
-        vx, vy, vz = stepper.floats
+        vx, vy, vz = stepper.step()
         hypothetical.extend((vx, vy, vz))
 
     u = np.array(plant).reshape(n + 1, 3)

@@ -24,7 +24,7 @@ class DivergenceError(ChaosControlError):
     """A closed-loop prediction or control run exceeded its magnitude bound.
 
     Attributes:
-        phase: which stage diverged ('train', 'predict' or 'control').
+        phase: which stage diverged ('predict' or 'control').
         step: index of the offending step.
     """
 
@@ -41,8 +41,7 @@ def check_prediction(v, bound: float, step: int) -> list:
     ``v`` is the array a predictor emits at ``step``.  NaN and inf fail the
     comparison, so they count as out of bound.  Plain Python floats make
     this several times cheaper than numpy reductions on the 3-vectors a
-    predictor emits each step, and the caller keeps them as the stepper's
-    ``floats``.
+    predictor emits each step, and the stepper's ``step()`` returns them.
     """
     floats = v.tolist()
     if not all(abs(c) <= bound for c in floats):

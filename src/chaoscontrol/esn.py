@@ -9,7 +9,7 @@ the trained model into an autonomous dynamical system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "EsnConfig",
     "EsnModel",
     "build_reservoir",
-    "advance_state",
     "train",
 ]
 
@@ -75,32 +74,20 @@ class EsnConfig:
 
 @dataclass
 class EsnModel:
-    """Reservoir network plus readout and running state.
+    """Trained reservoir network, readout and running state.
 
-    ``P`` is None until trained.  ``r`` carries the synchronized state; after
-    training it corresponds to the last ingested training sample, so
-    autonomous prediction continues seamlessly.
+    ``r`` is the state after ingesting the last training sample, so
+    autonomous prediction continues seamlessly from the data.
     """
 
     config: EsnConfig
     A: sparse.csr_matrix
     W_in: np.ndarray
-    P: Optional[np.ndarray] = None
-    r: np.ndarray = field(default=None)  # type: ignore[assignment]
-    last_sample: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.r is None:
-            self.r = np.zeros(self.config.reservoir_dim)
-
-    @property
-    def trained(self) -> bool:
-        return self.P is not None
+    P: np.ndarray
+    r: np.ndarray
 
     def stepper(self, bound: float = DIVERGENCE_BOUND) -> "_EsnStepper":
         """Autonomous one-step generator starting from the current state."""
-        if not self.trained:
-            raise ValueError("model must be trained before prediction")
         return _EsnStepper(self, bound)
 
 
@@ -115,8 +102,8 @@ def _spectral_radius(a: sparse.csr_matrix) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
 
 
-def build_reservoir(cfg: EsnConfig) -> EsnModel:
-    """Sample the random network and input map; the readout stays untrained.
+def build_reservoir(cfg: EsnConfig) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Sample the random network A and the input map W_in.
 
     Every entry of A (diagonal included) is present with ``edge_prob``;
     nonzero weights are uniform on [-1, 1] before rescaling to the target
@@ -137,7 +124,7 @@ def build_reservoir(cfg: EsnConfig) -> EsnModel:
             a = a * (cfg.spectral_radius / radius)
             w_in = rng.uniform(-cfg.input_scale, cfg.input_scale,
                                size=(d, cfg.input_dim))
-            return EsnModel(config=cfg, A=a, W_in=w_in)
+            return a, w_in
     raise ReservoirSamplingError(
         f"network spectral radius stayed zero after {MAX_SAMPLING_ATTEMPTS} draws"
     )
@@ -146,8 +133,10 @@ def build_reservoir(cfg: EsnConfig) -> EsnModel:
 def _check_square(a: sparse.csr_matrix, r: np.ndarray) -> None:
     """Require A to be len(r) x len(r), the shape check scipy's ``@`` makes.
 
-    ``csr_matvec`` reads ``r`` without bounds checks, so every caller of
-    ``_reservoir_update`` makes this check once on the arrays it passes.
+    ``csr_matvec`` reads ``r`` without bounds checks.  ``train`` drives a
+    network fresh from ``build_reservoir``, square by construction; the
+    stepper makes this check on the model's arrays, which may come from
+    anywhere.
     """
     if a.shape != (len(r), len(r)):
         raise ValueError(f"reservoir matrix of shape {a.shape} does not act on {len(r)} units")
@@ -167,13 +156,6 @@ def _reservoir_update(a: sparse.csr_matrix, w_in: np.ndarray, r: np.ndarray, u,
     csr_matvec(n, n, a.indptr, a.indices, a.data, r, pre)
     pre += w_in @ u
     return np.tanh(pre, out=out)
-
-
-def advance_state(m: EsnModel, u) -> np.ndarray:
-    """Drive the reservoir one step: r <- tanh(A r + W_in u)."""
-    _check_square(m.A, m.r)
-    m.r = _reservoir_update(m.A, m.W_in, m.r, np.asarray(u, dtype=float))
-    return m.r
 
 
 def _harvest(a: sparse.csr_matrix, w_in: np.ndarray, r: np.ndarray,
@@ -203,50 +185,46 @@ def _harvest(a: sparse.csr_matrix, w_in: np.ndarray, r: np.ndarray,
     return design
 
 
-def train(m: EsnModel, data: Trajectory) -> np.ndarray:
-    """Fit the readout on next-step targets and synchronize the model.
+def train(data: Trajectory, cfg: EsnConfig) -> EsnModel:
+    """Sample the reservoir, fit the readout on next-step targets, and
+    return the model synchronized to the end of ``data``.
 
     The reservoir is driven through all samples; the first ``washout``
     augmented states are discarded and each remaining state (after ingesting
     sample t) is paired with sample t+1, giving len-washout-1 regression
-    rows.  Returns the readout P.
+    rows.
 
     Raises:
+        ReservoirSamplingError: propagated from ``build_reservoir``.
         InsufficientDataError: fewer than washout+2 samples.
         IllConditionedError: ridge solve failure (propagated).
     """
-    cfg = m.config
+    a, w_in = build_reservoir(cfg)
     samples = data.samples
     n = len(samples)
     if n < cfg.washout + 2:
         raise InsufficientDataError(
             f"training needs at least washout+2 = {cfg.washout + 2} samples, got {n}"
         )
-    d = cfg.reservoir_dim
-    a, w_in = m.A, m.W_in
-    r = np.zeros(d)
-    _check_square(a, r)
+    r = np.zeros(cfg.reservoir_dim)
     for u in samples[: cfg.washout]:
         r = _reservoir_update(a, w_in, r, u, out=r)
-    targets = samples[cfg.washout + 1 :]
     # the harvest is bound to no name here, so the QR factors it in place
     # and ridge_fit frees it before the SVD
-    m.P = ridge_fit(
+    p = ridge_fit(
         _harvest(a, w_in, r, samples[cfg.washout : n - 1]),
-        targets, cfg.ridge_beta, overwrite_design=True,
+        samples[cfg.washout + 1 :], cfg.ridge_beta, overwrite_design=True,
     )
     # ingest the final sample so prediction continues past the data
-    m.r = r
-    advance_state(m, samples[-1])
-    m.last_sample = samples[-1].copy()
-    return m.P
+    _reservoir_update(a, w_in, r, samples[-1], out=r)
+    return EsnModel(config=cfg, A=a, W_in=w_in, P=p, r=r)
 
 
 class _EsnStepper:
     """Closed-loop iterator; clones the model state, never mutates the model.
 
     The augmented state {r, r^2} lives in one buffer that each step rewrites
-    in place; the emitted v is a new array every step.
+    in place.
     """
 
     def __init__(self, model: EsnModel, bound: float):
@@ -262,13 +240,12 @@ class _EsnStepper:
         self._bound = bound
         self._step = 0
         self.dim = self._P.shape[0]
-        self.floats = []  # the latest v as Python floats
 
-    def step(self) -> np.ndarray:
-        """Emit v = P {r, r^2}, then feed v back as the next input."""
+    def step(self) -> list:
+        """Emit v = P {r, r^2} as Python floats; feed v back as the next input."""
         v = self._P @ self._aug
         self._step += 1
-        self.floats = check_prediction(v, self._bound, self._step)
+        floats = check_prediction(v, self._bound, self._step)
         _reservoir_update(self._A, self._W_in, self._r, v, out=self._r)
         np.multiply(self._r, self._r, out=self._r2)
-        return v
+        return floats

@@ -52,7 +52,7 @@ from .errors import (
     IntegrationError,
     ReservoirSamplingError,
 )
-from .esn import EsnConfig, EsnModel, build_reservoir
+from .esn import EsnConfig, EsnModel
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
 from .modelio import field_parsers
@@ -326,9 +326,7 @@ def _train_predictor(
 ) -> Union[EsnModel, NgrcModel]:
     if kind == "classic":
         seed = _derived_int(cfg.master_seed, kind, n, realization, _STREAM_RESERVOIR)
-        model = build_reservoir(cfg.esn_config(seed=seed, n=n))
-        esn_train(model, training)
-        return model
+        return esn_train(training, cfg.esn_config(seed=seed, n=n))
     return ngrc_train(training, cfg.ngrc_config())
 
 
@@ -448,12 +446,6 @@ class SweepResult:
     rows: list
     summary: list
 
-    def summary_for(self, kind: str, n: int) -> SummaryRow:
-        for row in self.summary:
-            if row.kind == kind and row.n == n:
-                return row
-        raise KeyError((kind, n))
-
 
 def _run_cell(args) -> SweepRow:
     cfg, kind, n, realization = args
@@ -560,8 +552,7 @@ def _series_for(summary, kind, lengths, field, err_field):
 
 
 def _write_sweep_charts(out_dir, spec: SweepSpec, summary) -> None:
-    refs = {row.kind: row for row in summary if row.kind == "ref_train" and row.n == 0}
-    ref = refs.get("ref_train")
+    ref = next((row for row in summary if row.kind == "ref_train" and row.n == 0), None)
     for field, err_field, label, fname in (
         ("lambda_mean", "lambda_std", "largest Lyapunov exponent", "sweep_lambda.svg"),
         ("nu_mean", "nu_std", "correlation dimension", "sweep_nu.svg"),

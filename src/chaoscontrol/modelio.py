@@ -6,18 +6,20 @@ array payload:
     #chaoscontrol-model v1
     kind=classic
     <config key=value lines>
-    arrays=A:300x300,W_in:300x3,P:3x600,r:300,last_sample:3
+    arrays=A:300x300,W_in:300x3,P:3x600,r:300
     #payload
     <little-endian float64 bytes, row-major, arrays in declared order>
 
 The ``arrays`` line records every array's name and shape; the payload is
 the concatenation of the arrays' C-order bytes with nothing in between,
-so offsets follow from the declared shapes alone.  Polynomial models
-additionally carry their exponent table in the header (``monomials=``, a
-semicolon-separated list of variable-index multisets), making the stored
-readout self-describing.  Only trained models are saveable: prediction
-state (reservoir vector / tap buffer, last training sample) is included
-so a loaded model continues exactly where training ended.
+so offsets follow from the declared shapes alone.  The loader reads the
+arrays a model needs by name and skips any other declared array, so
+files that still carry the ``last_sample`` array of earlier writers load
+unchanged.  Polynomial models additionally carry their exponent table in
+the header (``monomials=``, a semicolon-separated list of variable-index
+multisets), making the stored readout self-describing.  Prediction state
+(reservoir vector / tap buffer) is included so a loaded model continues
+exactly where training ended.  A header key given twice is an error.
 The config lines are the ``EsnConfig`` or ``NgrcConfig`` fields in field
 order, written by :func:`format_fields` and read by :func:`field_parsers`.
 """
@@ -85,15 +87,12 @@ def _config_from_header(cls, fields: dict):
 
 
 def _esn_header_and_arrays(model: EsnModel):
-    if not model.trained or model.last_sample is None:
-        raise ValueError("only trained models can be serialized")
     header = {"kind": "classic", **format_fields(model.config)}
     arrays = [
         ("A", model.A.toarray()),
         ("W_in", model.W_in),
         ("P", model.P),
         ("r", model.r),
-        ("last_sample", model.last_sample),
     ]
     return header, arrays
 
@@ -110,8 +109,6 @@ def _decode_monomials(text: str) -> tuple:
 
 
 def _ngrc_header_and_arrays(model: NgrcModel):
-    if not model.trained:
-        raise ValueError("only trained models can be serialized")
     header = {
         "kind": "ngrc",
         **format_fields(model.config),
@@ -126,7 +123,7 @@ def _ngrc_header_and_arrays(model: NgrcModel):
 
 
 def save_model(path, model: Union[EsnModel, NgrcModel]) -> None:
-    """Write a trained model to ``path`` in the v1 format."""
+    """Write a model to ``path`` in the v1 format."""
     if isinstance(model, EsnModel):
         header, arrays = _esn_header_and_arrays(model)
     elif isinstance(model, NgrcModel):
@@ -160,6 +157,8 @@ def _parse_header(text: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"malformed model header line: {line!r}")
+        if key in fields:
+            raise ConfigError(f"model header key {key!r} is given twice")
         fields[key] = value
     return fields
 
@@ -219,7 +218,6 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
             d, n_in = cfg.reservoir_dim, cfg.input_dim
             _check_shapes(arrays, {
                 "A": (d, d), "W_in": (d, n_in), "P": (n_in, 2 * d), "r": (d,),
-                "last_sample": (n_in,),
             })
             return EsnModel(
                 config=cfg,
@@ -227,7 +225,6 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
                 W_in=arrays["W_in"],
                 P=arrays["P"],
                 r=arrays["r"],
-                last_sample=arrays["last_sample"],
             )
         if kind == "ngrc":
             cfg = _config_from_header(NgrcConfig, fields)

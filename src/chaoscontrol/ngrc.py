@@ -128,19 +128,13 @@ class NgrcModel:
 
     config: NgrcConfig
     library: MonomialLibrary
-    W_out: Optional[np.ndarray] = None
-    tap_buffer: Optional[np.ndarray] = None
-
-    @property
-    def trained(self) -> bool:
-        return self.W_out is not None
+    W_out: np.ndarray
+    tap_buffer: np.ndarray
 
     def stepper(self, bound: float = DIVERGENCE_BOUND) -> "_NgrcStepper":
         """Autonomous one-step generator continuing from the stored taps."""
-        if not self.trained:
-            raise ValueError("model must be trained before prediction")
         span = self.config.tap_span
-        if self.tap_buffer is None or len(self.tap_buffer) < span:
+        if len(self.tap_buffer) < span:
             raise InsufficientDataError(
                 f"prediction needs at least {span} trailing samples"
             )
@@ -238,17 +232,17 @@ class _NgrcStepper:
         self._taps = np.ones(self._k * self.dim + 1)
         self._bound = bound
         self._step = 0
-        self.floats = []  # the latest v as Python floats
 
-    def step(self) -> np.ndarray:
+    def step(self) -> list:
+        """Emit the next sample as Python floats and append it to the taps."""
         d, s = self.dim, self._s
         for i in range(self._k):
             self._taps[i * d : (i + 1) * d] = self._buf[-1 - i * s]
         v = self._buf[-1] + self._W @ _products(self._taps, self._table)
         self._step += 1
-        self.floats = check_prediction(v, self._bound, self._step)
+        floats = check_prediction(v, self._bound, self._step)
         if len(self._buf) > 1:
             self._buf[:-1] = self._buf[1:]
         self._buf[-1] = v
-        return v
+        return floats
 

@@ -36,6 +36,14 @@ def attractor_trajectory(params, n_steps, seed=0):
     return simulate(u0, params, INTEGRATOR, n_steps)
 
 
+def summary_for(result, kind, n):
+    """The summary row of one (kind, N) cell of a SweepResult."""
+    for row in result.summary:
+        if row.kind == kind and row.n == n:
+            return row
+    raise KeyError((kind, n))
+
+
 @pytest.fixture(scope="session")
 def train_run_short():
     """Intermittent-regime series long enough to fit either predictor."""

@@ -18,7 +18,6 @@ from chaoscontrol import (
     NgrcConfig,
     RosensteinConfig,
     Trajectory,
-    build_reservoir,
     climate_stats,
     correlation_dimension,
     largest_lyapunov,
@@ -34,7 +33,7 @@ from chaoscontrol.experiments import (
 )
 from chaoscontrol.ngrc import build_library, poly_features
 
-from conftest import X_LAMBDA, X_NU, Y_LAMBDA, Y_NU, attractor_trajectory
+from conftest import X_LAMBDA, X_NU, Y_LAMBDA, Y_NU, attractor_trajectory, summary_for
 from oracles import (
     benettin_lyapunov,
     enumerate_monomials,
@@ -141,15 +140,15 @@ def test_a4_data_efficiency_crossover(tmp_path):
 
     closer = {}
     for n in (250, 500, 1000):
-        sc = result.summary_for("classic", n)
-        sg = result.summary_for("ngrc", n)
+        sc = summary_for(result, "classic", n)
+        sg = summary_for(result, "ngrc", n)
         closer[n] = bool(
             abs(sg.lambda_mean - ref_lam) < abs(sc.lambda_mean - ref_lam)
             and abs(sg.nu_mean - ref_nu) < abs(sc.nu_mean - ref_nu)
         )
     lam_gap = abs(
-        result.summary_for("classic", 5000).lambda_mean
-        - result.summary_for("ngrc", 5000).lambda_mean
+        summary_for(result, "classic", 5000).lambda_mean
+        - summary_for(result, "ngrc", 5000).lambda_mean
     )
     ok = all(closer.values()) and lam_gap < 0.15 and elapsed < 1800.0
     _report(
@@ -172,16 +171,16 @@ def test_a5_ridge_oracle_both_trainers():
             reservoir_dim=5, edge_prob=0.6, input_scale=0.3,
             spectral_radius=0.4, ridge_beta=beta, washout=3, seed=8,
         )
-        m = build_reservoir(cfg)
+        a, w_in = esn.build_reservoir(cfg)
         r = np.zeros(cfg.reservoir_dim)
         rows, targets = [], []
         for t in range(len(drive) - 1):
-            r = np.tanh(m.A @ r + m.W_in @ drive.samples[t])
+            r = np.tanh(a @ r + w_in @ drive.samples[t])
             if t >= cfg.washout:
                 rows.append(np.concatenate([r, r * r]))
                 targets.append(drive.samples[t + 1])
         want = ridge_normal_equations(np.array(rows), np.array(targets), beta)
-        got = esn.train(m, drive)
+        got = esn.train(drive, cfg).P
         esn_err = max(esn_err, float(np.max(np.abs(got - want))))
         esn_norms.append(float(np.linalg.norm(got)))
 

@@ -5,14 +5,15 @@ from chaoscontrol import (
     ControlConfig,
     ControlRun,
     EsnConfig,
+    NgrcConfig,
     Trajectory,
-    build_reservoir,
     run_control,
     simulate,
     step_rk4,
 )
 from chaoscontrol.errors import DivergenceError
 from chaoscontrol.esn import train as esn_train
+from chaoscontrol.ngrc import train as ngrc_train
 
 from conftest import INTEGRATOR, PLANT_PARAMS, TRAIN_PARAMS, attractor_trajectory
 
@@ -26,9 +27,7 @@ class ReplayStepper:
         self._it = iter(np.asarray(samples, dtype=float))
 
     def step(self):
-        v = next(self._it)
-        self.floats = v.tolist()
-        return v
+        return next(self._it).tolist()
 
 
 def test_config_validation():
@@ -95,8 +94,7 @@ def test_control_divergence_tagged():
 def test_forces_stay_small_without_regime_change(train_run_short):
     # plant keeps the training parameters; a decent predictor then yields
     # forces far below gain times the attractor diameter
-    m = build_reservoir(EsnConfig(washout=199, seed=3))
-    esn_train(m, train_run_short)
+    m = esn_train(train_run_short, EsnConfig(washout=199, seed=3))
     u0 = step_rk4(train_run_short.samples[-1], TRAIN_PARAMS, INTEGRATOR)
     cfg = ControlConfig(plant_params=TRAIN_PARAMS, K=20.0, n_steps=500)
     run = run_control(m.stepper(), u0, cfg, INTEGRATOR)
@@ -106,10 +104,22 @@ def test_forces_stay_small_without_regime_change(train_run_short):
 
 
 def test_predictor_divergence_propagates(train_run_short):
-    m = build_reservoir(EsnConfig(washout=199, seed=3))
-    esn_train(m, train_run_short)
+    m = esn_train(train_run_short, EsnConfig(washout=199, seed=3))
     u0 = step_rk4(train_run_short.samples[-1], PLANT_PARAMS, INTEGRATOR)
     cfg = ControlConfig(plant_params=PLANT_PARAMS, K=20.0, n_steps=200)
     with pytest.raises(DivergenceError) as info:
         run_control(m.stepper(bound=1e-9), u0, cfg, INTEGRATOR)
     assert info.value.phase == "predict"
+
+
+@pytest.mark.parametrize("kind", ["classic", "ngrc"])
+def test_step_returns_python_floats(train_run_short, kind):
+    # run_control unpacks step() into the scalar RK4, which needs plain floats
+    if kind == "classic":
+        model = esn_train(train_run_short, EsnConfig(washout=199, seed=3))
+    else:
+        model = ngrc_train(train_run_short, NgrcConfig())
+    stepper = model.stepper()
+    v = stepper.step()
+    assert type(v) is list and len(v) == stepper.dim == 3
+    assert all(type(c) is float for c in v)

@@ -7,7 +7,6 @@ from scipy import sparse
 
 from chaoscontrol import (
     EsnConfig,
-    EsnModel,
     Trajectory,
     build_reservoir,
     load_model,
@@ -19,44 +18,36 @@ from chaoscontrol.errors import (
     ReservoirSamplingError,
 )
 from chaoscontrol.control import free_run
-from chaoscontrol.esn import advance_state, train
+from chaoscontrol.esn import _reservoir_update, train
 from chaoscontrol.ridge import ridge_fit
 
 from oracles import augmented_state, esn_free_run, esn_harvest, ridge_normal_equations
 
 
-def _zero_model(dim=4, input_dim=3, w_in=None):
-    cfg = EsnConfig(reservoir_dim=dim, washout=0, input_dim=input_dim)
-    a = sparse.csr_matrix((dim, dim))
-    if w_in is None:
-        w_in = np.zeros((dim, input_dim))
-    return EsnModel(config=cfg, A=a, W_in=w_in)
-
-
 def test_edge_count_matches_binomial_sampling():
-    m = build_reservoir(EsnConfig(seed=0))
+    a, _ = build_reservoir(EsnConfig(seed=0))
     mean = 300 * 299 * 0.02
-    assert abs(m.A.nnz - mean) <= 3.0 * math.sqrt(mean)
+    assert abs(a.nnz - mean) <= 3.0 * math.sqrt(mean)
 
 
 def test_rescaled_spectral_radius():
-    m = build_reservoir(EsnConfig(seed=1))
-    eigs = np.linalg.eigvals(m.A.toarray())
+    a, _ = build_reservoir(EsnConfig(seed=1))
+    eigs = np.linalg.eigvals(a.toarray())
     assert abs(np.abs(eigs).max() - 0.0084) < 1e-9
 
 
 def test_rescaled_spectral_radius_above_512_units():
     # this draw's largest eigenvalues are a complex pair within 0.3% of the
     # next pair; an iterating estimate of the radius lands 4.6% high
-    m = build_reservoir(EsnConfig(reservoir_dim=600, seed=0))
-    eigs = np.linalg.eigvals(m.A.toarray())
+    a, _ = build_reservoir(EsnConfig(reservoir_dim=600, seed=0))
+    eigs = np.linalg.eigvals(a.toarray())
     assert abs(np.abs(eigs).max() - 0.0084) < 1e-9
 
 
 def test_input_map_range():
-    m = build_reservoir(EsnConfig(seed=2))
-    assert m.W_in.shape == (300, 3)
-    assert np.abs(m.W_in).max() <= 0.0084
+    _, w_in = build_reservoir(EsnConfig(seed=2))
+    assert w_in.shape == (300, 3)
+    assert np.abs(w_in).max() <= 0.0084
 
 
 def test_empty_graph_raises_after_retries():
@@ -65,25 +56,26 @@ def test_empty_graph_raises_after_retries():
 
 
 def test_seed_determinism():
-    a = build_reservoir(EsnConfig(seed=9))
-    b = build_reservoir(EsnConfig(seed=9))
-    assert np.array_equal(a.A.toarray(), b.A.toarray())
-    assert np.array_equal(a.W_in, b.W_in)
-    c = build_reservoir(EsnConfig(seed=10))
-    assert not np.array_equal(a.A.toarray(), c.A.toarray())
+    a, w_a = build_reservoir(EsnConfig(seed=9))
+    b, w_b = build_reservoir(EsnConfig(seed=9))
+    assert np.array_equal(a.toarray(), b.toarray())
+    assert np.array_equal(w_a, w_b)
+    c, _ = build_reservoir(EsnConfig(seed=10))
+    assert not np.array_equal(a.toarray(), c.toarray())
 
 
-def test_advance_state_zero_network():
-    m = _zero_model()
-    r = advance_state(m, np.ones(3))
+ZERO_NETWORK = sparse.csr_matrix((4, 4))
+
+
+def test_reservoir_update_zero_network():
+    r = _reservoir_update(ZERO_NETWORK, np.zeros((4, 3)), np.zeros(4), np.ones(3))
     np.testing.assert_array_equal(r, np.zeros(4))
 
 
-def test_advance_state_identity_block():
+def test_reservoir_update_identity_block():
     w_in = np.zeros((4, 3))
     w_in[0, 0] = 1.0
-    m = _zero_model(w_in=w_in)
-    r = advance_state(m, np.array([1.0, 0.0, 0.0]))
+    r = _reservoir_update(ZERO_NETWORK, w_in, np.zeros(4), np.array([1.0, 0.0, 0.0]))
     assert r[0] == pytest.approx(math.tanh(1.0))
     np.testing.assert_array_equal(r[1:], np.zeros(3))
     assert np.all(np.abs(r) < 1.0)
@@ -93,12 +85,7 @@ def test_advance_state_identity_block():
 def test_state_size_mismatch_rejected(train_run_short, units):
     # the reservoir kernel indexes r unchecked: a state of the wrong size
     # must be refused before it runs
-    m = _zero_model()
-    m.r = np.zeros(units)
-    with pytest.raises(ValueError):
-        advance_state(m, np.ones(3))
-    m = build_reservoir(EsnConfig(reservoir_dim=4, washout=10, seed=1))
-    train(m, train_run_short)
+    m = train(train_run_short, EsnConfig(reservoir_dim=4, washout=10, seed=1))
     m.r = np.zeros(units)
     with pytest.raises(ValueError):
         m.stepper()
@@ -111,15 +98,16 @@ def test_augmentation_invariant():
     np.testing.assert_array_equal(aug[3:], r * r)
 
 
-def _closed_loop_series(model, p0, u0, n):
+def _closed_loop_series(cfg, p0, u0, n):
     """Data generated exactly by readout p0 applied to the driven state."""
+    a, w_in = build_reservoir(cfg)
+    r = np.zeros(cfg.reservoir_dim)
     u = np.asarray(u0, dtype=float)
     samples = [u]
     for _ in range(n - 1):
-        r = advance_state(model, u)
+        r = np.tanh(a @ r + w_in @ u)
         u = p0 @ augmented_state(r)
         samples.append(u)
-    model.r = np.zeros(model.config.reservoir_dim)
     return Trajectory(0.05, np.array(samples))
 
 
@@ -131,11 +119,9 @@ def test_exact_readout_recovery_at_zero_penalty():
         reservoir_dim=4, edge_prob=0.5, input_scale=1.0, spectral_radius=0.9,
         ridge_beta=0.0, washout=2, seed=7,
     )
-    m = build_reservoir(cfg)
     p0 = 0.9 * rng.standard_normal((3, 8))
-    data = _closed_loop_series(m, p0, [0.1, -0.2, 0.3], 40)
-    p = train(m, data)
-    np.testing.assert_allclose(p, p0, atol=1e-8)
+    data = _closed_loop_series(cfg, p0, [0.1, -0.2, 0.3], 40)
+    np.testing.assert_allclose(train(data, cfg).P, p0, atol=1e-8)
 
 
 def test_small_instance_matches_normal_equations_oracle():
@@ -144,20 +130,20 @@ def test_small_instance_matches_normal_equations_oracle():
         reservoir_dim=4, edge_prob=0.6, input_scale=0.3, spectral_radius=0.4,
         ridge_beta=1e-6, washout=3, seed=8,
     )
-    m = build_reservoir(cfg)
+    a, w_in = build_reservoir(cfg)
     data = Trajectory(0.05, rng.uniform(-1, 1, size=(20, 3)))
 
     # independent replay of the drive to collect the design matrix
     r = np.zeros(4)
     rows, targets = [], []
     for t in range(len(data) - 1):
-        r = np.tanh(m.A @ r + m.W_in @ data.samples[t])
+        r = np.tanh(a @ r + w_in @ data.samples[t])
         if t >= cfg.washout:
             rows.append(np.concatenate([r, r * r]))
             targets.append(data.samples[t + 1])
     want = ridge_normal_equations(np.array(rows), np.array(targets), cfg.ridge_beta)
 
-    got = train(m, data)
+    got = train(data, cfg).P
     assert len(rows) == len(data) - cfg.washout - 1
     np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 
@@ -171,30 +157,27 @@ def test_shrinkage_with_penalty():
             reservoir_dim=6, edge_prob=0.5, input_scale=0.4, spectral_radius=0.5,
             ridge_beta=beta, washout=5, seed=6,
         )
-        m = build_reservoir(cfg)
-        norms.append(np.linalg.norm(train(m, data)))
+        norms.append(np.linalg.norm(train(data, cfg).P))
     assert norms[1] <= norms[0] + 1e-12
 
 
 def test_insufficient_data_signalled():
     cfg = EsnConfig(reservoir_dim=4, edge_prob=0.5, washout=10, seed=1)
-    m = build_reservoir(cfg)
     data = Trajectory(0.05, np.zeros((11, 3)))
     with pytest.raises(InsufficientDataError):
-        train(m, data)
+        train(data, cfg)
 
 
 def test_training_determinism(train_run_short):
     runs = []
     for _ in range(2):
-        m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
-        runs.append(train(m, train_run_short))
+        m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
+        runs.append(m.P)
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_prediction_contract(train_run_short):
-    m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
-    train(m, train_run_short)
+    m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
 
     empty = free_run(m.stepper(), 0, 0.05)
     assert empty.samples.shape == (0, 3)
@@ -213,11 +196,10 @@ def test_prediction_contract(train_run_short):
 def test_harvest_matches_oracle_drive(train_run_short):
     # the in-place harvest must give the scipy drive's design matrix bit for
     # bit, hence the same readout, and the same state to continue from
-    m = build_reservoir(EsnConfig(washout=100, seed=12))
-    p = train(m, train_run_short)
+    m = train(train_run_short, EsnConfig(washout=100, seed=12))
     states, r = esn_harvest(m, train_run_short.samples)
     targets = train_run_short.samples[m.config.washout + 1 :]
-    assert np.array_equal(p, ridge_fit(states, targets, m.config.ridge_beta))
+    assert np.array_equal(m.P, ridge_fit(states, targets, m.config.ridge_beta))
     assert np.array_equal(m.r, r)
 
 
@@ -231,12 +213,11 @@ TRAIN_PEAK_PER_DESIGN_BYTE = 1.3
 
 def test_train_peak_memory_pinned(seed0_classic):
     training, model = seed0_classic(5000)
-    m = build_reservoir(model.config)
-    rows = len(training.samples) - m.config.washout - 1
-    design_bytes = rows * 2 * m.config.reservoir_dim * np.dtype(float).itemsize
+    rows = len(training.samples) - model.config.washout - 1
+    design_bytes = rows * 2 * model.config.reservoir_dim * np.dtype(float).itemsize
     tracemalloc.start()
     try:
-        train(m, training)
+        m = train(training, model.config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,8 +228,7 @@ def test_train_peak_memory_pinned(seed0_classic):
 
 @pytest.mark.parametrize("source", ["trained", "ccm"])
 def test_stepper_matches_oracle_loop(tmp_path, train_run_short, source):
-    m = build_reservoir(EsnConfig(washout=100, seed=12))
-    train(m, train_run_short)
+    m = train(train_run_short, EsnConfig(washout=100, seed=12))
     if source == "ccm":
         save_model(tmp_path / "model.ccm", m)
         m = load_model(tmp_path / "model.ccm")
@@ -259,8 +239,7 @@ def test_stepper_matches_oracle_loop(tmp_path, train_run_short, source):
 
 
 def test_prediction_divergence_bound(train_run_short):
-    m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
-    train(m, train_run_short)
+    m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
     with pytest.raises(DivergenceError) as info:
         free_run(m.stepper(bound=1e-6), 50, 0.05)
     assert info.value.phase == "predict"
@@ -268,8 +247,7 @@ def test_prediction_divergence_bound(train_run_short):
 
 @pytest.mark.parametrize("readout", ["nan", "inf", "just-over-bound"])
 def test_divergence_check_on_first_step(train_run_short, readout):
-    m = build_reservoir(EsnConfig(reservoir_dim=50, washout=100, seed=12))
-    train(m, train_run_short)
+    m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
     first = m.P @ augmented_state(m.r)
     bound = 1e3
     if readout == "nan":
@@ -286,8 +264,3 @@ def test_divergence_check_on_first_step(train_run_short, readout):
         m.stepper(bound=bound).step()
     assert (info.value.phase, info.value.step) == ("predict", 1)
 
-
-def test_untrained_prediction_rejected():
-    m = build_reservoir(EsnConfig(reservoir_dim=10, seed=0))
-    with pytest.raises(ValueError):
-        m.stepper()

@@ -22,6 +22,8 @@ from chaoscontrol.experiments import (
     write_trajectory_csv,
 )
 
+from conftest import summary_for
+
 
 @pytest.fixture(scope="module")
 def mini_sweep(tmp_path_factory):
@@ -195,7 +197,8 @@ def test_prepare_trained_model_matches_single_run():
     training, model = prepare_trained_model(cfg)
     report = run_single(cfg)
     assert np.array_equal(training.samples, report.training.samples)
-    assert model.trained
+    # same model: its first step is the run's first predicted sample
+    assert model.stepper().step() == report.prediction.samples[0].tolist()
 
 
 def test_sweep_rows_sorted_and_failures_logged(mini_sweep):
@@ -209,9 +212,9 @@ def test_sweep_rows_sorted_and_failures_logged(mini_sweep):
     ngrc_rows = [r for r in result.rows if r.kind == "ngrc"]
     assert len(ngrc_rows) == spec.n_realizations
     assert all(r.status == "diverged" for r in ngrc_rows)
-    assert result.summary_for("ngrc", 300).n_ok == 0
-    assert math.isnan(result.summary_for("ngrc", 300).lambda_mean)
-    assert result.summary_for("classic", 300).n_ok > 0
+    assert summary_for(result, "ngrc", 300).n_ok == 0
+    assert math.isnan(summary_for(result, "ngrc", 300).lambda_mean)
+    assert summary_for(result, "classic", 300).n_ok > 0
 
 
 def test_sweep_csv_outputs(mini_sweep):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoscontrol import EsnConfig, NgrcConfig, build_reservoir, save_model
+from chaoscontrol import EsnConfig, NgrcConfig, save_model
 from chaoscontrol.cli import main
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.esn import train as esn_train
@@ -40,8 +40,7 @@ FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None
 def _valid_inputs() -> dict:
     """Small valid files: each kind of model file and a 300-sample CSV."""
     series = attractor_trajectory(TRAIN_PARAMS, 299, seed=4)
-    esn = build_reservoir(EsnConfig(reservoir_dim=12, washout=50, seed=1))
-    esn_train(esn, series)
+    esn = esn_train(series, EsnConfig(reservoir_dim=12, washout=50, seed=1))
     files = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "file")

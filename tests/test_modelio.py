@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from chaoscontrol import (
     EsnConfig,
     NgrcConfig,
-    build_reservoir,
     load_model,
     save_model,
 )
 from chaoscontrol.cli import main as cli_main
+from chaoscontrol.control import free_run
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.esn import train as esn_train
 from chaoscontrol.experiments import PREDICTOR_KINDS, ExperimentConfig, SweepSpec
@@ -23,9 +23,7 @@ from chaoscontrol.ngrc import train as ngrc_train
 
 @pytest.fixture(scope="module")
 def trained_esn(train_run_short):
-    m = build_reservoir(EsnConfig(reservoir_dim=40, washout=100, seed=5))
-    esn_train(m, train_run_short)
-    return m
+    return esn_train(train_run_short, EsnConfig(reservoir_dim=40, washout=100, seed=5))
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +40,6 @@ def test_esn_round_trip_bit_exact(tmp_path, trained_esn):
     assert np.array_equal(loaded.W_in, trained_esn.W_in)
     assert np.array_equal(loaded.P, trained_esn.P)
     assert np.array_equal(loaded.r, trained_esn.r)
-    assert np.array_equal(loaded.last_sample, trained_esn.last_sample)
 
 
 def test_esn_prediction_resumes_identically(tmp_path, trained_esn):
@@ -52,6 +49,28 @@ def test_esn_prediction_resumes_identically(tmp_path, trained_esn):
     a, b = trained_esn.stepper(), loaded.stepper()
     for _ in range(50):
         assert np.array_equal(a.step(), b.step())
+
+
+def test_file_with_last_sample_still_loads(tmp_path, train_run_short, trained_esn):
+    # earlier writers declared a last_sample array after r and appended the
+    # last training sample to the payload; the loader skips it
+    path = tmp_path / "esn.ccm"
+    save_model(path, trained_esn)
+    raw = path.read_bytes()
+    assert b",r:40\n#payload\n" in raw
+    old = raw.replace(b",r:40\n", b",r:40,last_sample:3\n", 1)
+    old += train_run_short.samples[-1].astype("<f8").tobytes()
+    assert len(old) == len(raw) + 38
+    path.write_bytes(old)
+    loaded = load_model(path)
+    assert loaded.config == trained_esn.config
+    for name in ("W_in", "P", "r"):
+        assert np.array_equal(getattr(loaded, name), getattr(trained_esn, name))
+    assert np.array_equal(loaded.A.toarray(), trained_esn.A.toarray())
+    assert np.array_equal(
+        free_run(loaded.stepper(), 500, 0.05).samples,
+        free_run(trained_esn.stepper(), 500, 0.05).samples,
+    )
 
 
 def test_ngrc_round_trip_bit_exact(tmp_path, trained_ngrc):
@@ -72,12 +91,6 @@ def test_header_is_text_and_versioned(tmp_path, trained_ngrc):
     assert header.splitlines()[0] == FORMAT_MAGIC
     assert "monomials=" in header
     assert "arrays=W_out:3x34,tap_buffer:1x3" in header
-
-
-def test_untrained_model_rejected():
-    m = build_reservoir(EsnConfig(reservoir_dim=10, seed=0))
-    with pytest.raises(ValueError):
-        save_model("/tmp/unused.ccm", m)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -104,13 +117,14 @@ def test_truncated_payload_rejected(tmp_path, trained_esn):
         ("trained_esn", b"kind=classic", b"kind=cl\xffssic"),
         # same byte counts as the true shapes, so the payload still parses
         ("trained_esn", b",P:3x80,", b",P:6x40,"),
-        ("trained_esn", b",r:40,", b",r:4x10,"),
+        ("trained_esn", b",r:40\n", b",r:4x10\n"),
         ("trained_esn", b",W_in:40x3,", b",W_in:120x1,"),
         ("trained_ngrc", b",tap_buffer:1x3", b",tap_buffer:3x1"),
+        ("trained_esn", b"washout=100\n", b"washout=100\nwashout=100\n"),
     ],
     ids=[
         "malformed-value", "non-utf8-header", "readout-shape", "state-shape",
-        "input-map-shape", "tap-buffer-shape",
+        "input-map-shape", "tap-buffer-shape", "repeated-key",
     ],
 )
 def test_malformed_header_is_config_error(tmp_path, capsys, request, model, old, new):
