@@ -48,8 +48,6 @@ from .experiments import (
 )
 from .metrics import (
     ClimateStats,
-    GpConfig,
-    RosensteinConfig,
     climate_stats,
     correlation_dimension,
     largest_lyapunov,

@@ -151,7 +151,7 @@ def _read_trajectory_csv(path) -> Trajectory:
     # lambda is a per-step slope over dt, so a wrong dt silently rescales it
     if not dt > 0 or np.any(np.abs(np.diff(times) - dt) > 1e-6 * dt):
         raise ConfigError(f"{path}: time column is not uniformly increasing")
-    return Trajectory(dt, np.asarray(rows), t0=times[0])
+    return Trajectory(dt, np.asarray(rows))
 
 
 def _steps(args, cfg: ExperimentConfig, low: int) -> int:

@@ -5,11 +5,11 @@ fully autonomously, how the system would have evolved in its original
 regime.  Each sampling interval the difference between the actual and the
 hypothetical state is injected as a constant force, scaled by K = 1/dt.
 
-Both predictor kinds are driven through one interface: ``model.stepper(bound)``
+Both predictor kinds are driven through one interface: ``model.stepper()``
 returns a :class:`Stepper` whose ``step()`` returns the next ``dim``-vector
 as a list of Python floats and raises DivergenceError (phase "predict") once
-a component leaves ``bound``.  :func:`free_run` and :func:`run_control` take
-a stepper.
+a component leaves ``DIVERGENCE_BOUND``.  :func:`free_run` and
+:func:`run_control` take a stepper.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = ["ControlConfig", "ControlRun", "Stepper", "free_run", "run_control"]
 
 
 class Stepper(Protocol):
-    """Autonomous one-step generator returned by ``model.stepper(bound)``."""
+    """Autonomous one-step generator returned by ``model.stepper()``."""
 
     dim: int
 
@@ -78,7 +78,7 @@ def free_run(stepper: Stepper, n_steps: int, dt: float) -> Trajectory:
     """The next ``n_steps`` outputs of ``stepper`` as a (n_steps, dim) series.
 
     Raises:
-        DivergenceError: if any emitted sample leaves the stepper's bound.
+        DivergenceError: if any emitted sample leaves ``DIVERGENCE_BOUND``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -106,7 +106,7 @@ def run_control(
     to an unforced simulation from u0.
 
     The loop takes each predictor output as the Python floats ``step()``
-    returns (converted once, by the stepper's bound check) and keeps the
+    returns (converted once, by the stepper's divergence check) and keeps the
     plant state in Python floats.  The arithmetic is the same IEEE double
     arithmetic as on ``np.float64`` scalars, so the results are bitwise the
     same, but numpy scalars would make every scalar RK4 stage several times

@@ -75,19 +75,17 @@ class Trajectory:
     """Uniformly sampled multivariate time series.
 
     Attributes:
-        dt: sampling step.
+        dt: sampling step; sample i is taken at time i * dt.
         samples: (n_samples, dim) float array.
-        t0: time of the first sample.
     """
 
     dt: float
     samples: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=float)
-        if self.samples.ndim == 1:
-            self.samples = self.samples[:, None]
+        if self.samples.ndim != 2:
+            raise ValueError("Trajectory samples must be a 2-D (n_samples, dim) array")
         # zero-length trajectories are allowed (n_steps=0 predictions)
         if not self.dt > 0:
             raise ValueError("Trajectory.dt must be positive")
@@ -103,7 +101,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self))
+        return self.dt * np.arange(len(self))
 
 
 def _rk4_intervals(x, y, z, sigma, rho, beta, dt, substeps, fx, fy, fz, n=1, emit=None):

@@ -34,9 +34,9 @@ class DivergenceError(ChaosControlError):
         self.step = step
 
 
-def check_prediction(v, bound: float, step: int) -> list:
+def check_prediction(v, step: int) -> list:
     """Return ``v`` as Python floats, or raise DivergenceError (phase "predict")
-    unless every |c| <= bound.
+    unless every |c| <= DIVERGENCE_BOUND.
 
     ``v`` is the array a predictor emits at ``step``.  NaN and inf fail the
     comparison, so they count as out of bound.  Plain Python floats make
@@ -44,9 +44,10 @@ def check_prediction(v, bound: float, step: int) -> list:
     predictor emits each step, and the stepper's ``step()`` returns them.
     """
     floats = v.tolist()
-    if not all(abs(c) <= bound for c in floats):
+    if not all(abs(c) <= DIVERGENCE_BOUND for c in floats):
         raise DivergenceError(
-            f"autonomous prediction left |v| <= {bound:g}", phase="predict", step=step
+            f"autonomous prediction left |v| <= {DIVERGENCE_BOUND:g}",
+            phase="predict", step=step,
         )
     return floats
 

@@ -19,12 +19,7 @@ import scipy.sparse as sparse
 from scipy.sparse._sparsetools import csr_matvec
 
 from .dynamics import Trajectory
-from .errors import (
-    DIVERGENCE_BOUND,
-    InsufficientDataError,
-    ReservoirSamplingError,
-    check_prediction,
-)
+from .errors import InsufficientDataError, ReservoirSamplingError, check_prediction
 from .ridge import ridge_fit
 
 __all__ = [
@@ -86,9 +81,9 @@ class EsnModel:
     P: np.ndarray
     r: np.ndarray
 
-    def stepper(self, bound: float = DIVERGENCE_BOUND) -> "_EsnStepper":
+    def stepper(self) -> "_EsnStepper":
         """Autonomous one-step generator starting from the current state."""
-        return _EsnStepper(self, bound)
+        return _EsnStepper(self)
 
 
 def _spectral_radius(a: sparse.csr_matrix) -> float:
@@ -227,7 +222,7 @@ class _EsnStepper:
     in place.
     """
 
-    def __init__(self, model: EsnModel, bound: float):
+    def __init__(self, model: EsnModel):
         self._A = model.A
         self._W_in = model.W_in
         self._P = model.P
@@ -237,7 +232,6 @@ class _EsnStepper:
         self._r, self._r2 = self._aug[:d], self._aug[d:]
         self._r[:] = model.r
         np.multiply(self._r, self._r, out=self._r2)
-        self._bound = bound
         self._step = 0
         self.dim = self._P.shape[0]
 
@@ -245,7 +239,7 @@ class _EsnStepper:
         """Emit v = P {r, r^2} as Python floats; feed v back as the next input."""
         v = self._P @ self._aug
         self._step += 1
-        floats = check_prediction(v, self._bound, self._step)
+        floats = check_prediction(v, self._step)
         _reservoir_update(self._A, self._W_in, self._r, v, out=self._r)
         np.multiply(self._r, self._r, out=self._r2)
         return floats

@@ -343,17 +343,15 @@ def _controlled_run(
     return run_control(model.stepper(), u0, ctl, cfg.integrator())
 
 
-def prepare_trained_model(
-    cfg: ExperimentConfig, realization: int = 0
-) -> tuple:
+def prepare_trained_model(cfg: ExperimentConfig) -> tuple:
     """Generate the seeded training series and fit the configured predictor.
 
-    Returns (training, model); the series is identical to the one a
-    run_single/sweep cell with the same coordinates trains on.
+    Returns (training, model); the series is identical to the one
+    realization 0 of a run_single/sweep cell with the same N trains on.
     """
     n = cfg.training_steps
-    training = attractor_series(cfg, cfg.kind, n, realization, n - 1)
-    model = _train_predictor(cfg, cfg.kind, n, realization, training)
+    training = attractor_series(cfg, cfg.kind, n, 0, n - 1)
+    model = _train_predictor(cfg, cfg.kind, n, 0, training)
     return training, model
 
 
@@ -627,12 +625,9 @@ def write_summary_csv(path, summary: Sequence[SummaryRow], timestamp: bool = Tru
 
 
 def export_training_snapshot(
-    cfg: ExperimentConfig,
-    out_dir: str,
-    realization: int = 0,
-    timestamp: bool = True,
+    cfg: ExperimentConfig, out_dir: str, timestamp: bool = True
 ) -> str:
-    """Write the exact training series with its discard boundary marked.
+    """Write realization 0's training series with its discard boundary marked.
 
     Produces ``training_snapshot.csv`` (t,x,y,z,phase) and a matching SVG.
     The phase column separates samples the trainer discards (classic:
@@ -641,7 +636,7 @@ def export_training_snapshot(
     """
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.training_steps
-    training = attractor_series(cfg, cfg.kind, n, realization, n - 1)
+    training = attractor_series(cfg, cfg.kind, n, 0, n - 1)
     if cfg.kind == "classic":
         boundary = cfg.washout_for(n)
         discard_phase = "washout"

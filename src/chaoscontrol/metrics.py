@@ -23,8 +23,6 @@ from .dynamics import Trajectory
 from .errors import InsufficientDataError
 
 __all__ = [
-    "GpConfig",
-    "RosensteinConfig",
     "GpDiagnostics",
     "LyapunovDiagnostics",
     "ClimateStats",
@@ -35,55 +33,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GpConfig:
-    """Grassberger-Procaccia settings.
+# Grassberger-Procaccia thresholds: GP_N_R radii log-spaced from GP_R_MIN to
+# GP_R_MAX times the attractor diameter (twice the largest distance from
+# the centroid).  As fractions of the diameter they make the estimate
+# independent of the attractor's size and position; the fit's R^2 on the
+# diagnostics tells whether log C(r) is straight over this range.
+GP_R_MIN, GP_R_MAX, GP_N_R = 0.005, 0.10, 20
 
-    ``r_min``/``r_max`` are fractions of the attractor diameter (twice the
-    maximum distance from the centroid); ``n_r`` thresholds are log-spaced
-    between them.  At each threshold r, every ordered pair of distinct
-    samples at distance d <= r is counted exactly.  Dual-tree traversals
-    over a median bisection of the samples bin each distance between
-    neighbouring thresholds; a pair split by a cut is visited once and
-    counted twice.
-    """
-
-    r_min: float = 0.005
-    r_max: float = 0.10
-    n_r: int = 20
-
-    def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("require 0 < r_min < r_max")
-        if self.n_r < 5:
-            raise ValueError("n_r must be >= 5")
-
-
-@dataclass(frozen=True)
-class RosensteinConfig:
-    """Largest-Lyapunov settings.
-
-    Nearest neighbours must be more than ``theiler_window`` steps apart in
-    time; each pair is followed for ``follow_steps`` steps and the mean log
-    distance curve is fitted linearly between ``fit_start`` and ``fit_end``.
-
-    The fit window skips the first few steps, where the neighbour difference
-    vectors are still rotating into the locally most expanding direction and
-    the curve rises faster than the asymptotic rate.  Calibrated against a
-    tangent-space oracle on the classic Lorenz attractor; the diagnostics
-    expose the full curve for recalibration on other systems.
-    """
-
-    theiler_window: int = 50
-    fit_start: int = 10
-    fit_end: int = 60
-    follow_steps: int = 60
-
-    def __post_init__(self):
-        if not (0 <= self.fit_start < self.fit_end <= self.follow_steps):
-            raise ValueError("require fit_start < fit_end <= follow_steps")
-        if self.theiler_window < 0:
-            raise ValueError("theiler_window must be >= 0")
+# Rosenstein settings: a neighbour must lie more than THEILER_WINDOW steps
+# away in time, so that it is not the same stretch of orbit; each pair is
+# followed for FOLLOW_STEPS steps and the mean log distance is fitted
+# linearly over steps FIT_START to FIT_END.  The fit skips the first steps,
+# where the difference vectors are still rotating into the locally most
+# expanding direction and the curve rises faster than the asymptotic rate.
+# Calibrated against a tangent-space oracle on the classic Lorenz
+# attractor; the diagnostics expose the full curve for recalibration on
+# other systems.  FIT_END must not exceed FOLLOW_STEPS.
+THEILER_WINDOW = 50
+FOLLOW_STEPS = 60
+FIT_START, FIT_END = 10, 60
 
 
 @dataclass
@@ -120,8 +88,8 @@ class ClimateStats:
 
     lambda_max: float
     corr_dim: float
-    lyap_diag: LyapunovDiagnostics | None = None
-    gp_diag: GpDiagnostics | None = None
+    lyap_diag: LyapunovDiagnostics
+    gp_diag: GpDiagnostics
 
 
 def _linear_fit(x, y):
@@ -286,15 +254,13 @@ def _two_process_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarr
     return counts + np.frombuffer(data, dtype=np.int64)
 
 
-def correlation_dimension(
-    traj: Trajectory, cfg: GpConfig = GpConfig()
-) -> tuple[float, GpDiagnostics]:
+def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
     """Correlation dimension via exact pair counting over log-spaced thresholds.
 
     The correlation integral C(r) is the fraction of ordered pairs (i, j),
     i != j, whose Euclidean distance satisfies d <= r, over all
     ``n_pairs = n*(n-1)`` such pairs; the dimension is the slope of log C
-    against log r over the configured threshold range.  The counts are
+    against log r over the ``GP_N_R`` thresholds.  The counts are
     exact and need no distance matrix: dual-tree traversals (Gray & Moore,
     NIPS 2000) over a median bisection of the points bin each distance
     between neighbouring thresholds, visiting a pair split by a cut once
@@ -319,7 +285,7 @@ def correlation_dimension(
         )
         return float("nan"), diag
 
-    r_grid = np.geomspace(cfg.r_min * diam, cfg.r_max * diam, cfg.n_r)
+    r_grid = np.geomspace(GP_R_MIN * diam, GP_R_MAX * diam, GP_N_R)
     # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
     cum = np.cumsum(_two_process_pair_counts(points, r_grid)) - n
     n_pairs = n * (n - 1)
@@ -381,13 +347,11 @@ def theiler_neighbours(points: np.ndarray, window: int) -> tuple[np.ndarray, np.
     return nb, has_valid
 
 
-def largest_lyapunov(
-    traj: Trajectory, cfg: RosensteinConfig = RosensteinConfig()
-) -> tuple[float, LyapunovDiagnostics]:
+def largest_lyapunov(traj: Trajectory) -> tuple[float, LyapunovDiagnostics]:
     """Largest Lyapunov exponent from the mean divergence of neighbour pairs.
 
     For every sample, the nearest neighbour at temporal distance greater
-    than the Theiler window is tracked for ``follow_steps`` steps; the slope
+    than ``THEILER_WINDOW`` is tracked for ``FOLLOW_STEPS`` steps; the slope
     of the mean log separation over the fit window, divided by dt, is the
     exponent.  Returns (lambda_max, diagnostics); a collapsed trajectory,
     whose fit window holds fewer than two finite points because every
@@ -396,18 +360,20 @@ def largest_lyapunov(
     """
     points = traj.samples
     n = points.shape[0]
-    m = n - cfg.follow_steps  # trackable reference points
+    m = n - FOLLOW_STEPS  # trackable reference points
     if m < 2:
-        raise InsufficientDataError("trajectory shorter than follow_steps")
+        raise InsufficientDataError(
+            f"Rosenstein estimate needs at least {FOLLOW_STEPS + 2} samples, got {n}"
+        )
 
-    nb, has_valid = theiler_neighbours(points[:m], cfg.theiler_window)
+    nb, has_valid = theiler_neighbours(points[:m], THEILER_WINDOW)
     ref = np.flatnonzero(has_valid)
     nb = nb[ref]
     valid_fraction = float(len(ref)) / m
     if len(ref) == 0:
         raise InsufficientDataError("no neighbour pairs outside Theiler window")
 
-    offsets = np.arange(cfg.follow_steps + 1)
+    offsets = np.arange(FOLLOW_STEPS + 1)
     mean_log = np.empty(len(offsets))
     # the pairs are gathered into two buffers reused at every offset
     diff = np.empty((len(ref), points.shape[1]))
@@ -420,8 +386,7 @@ def largest_lyapunov(
         nz = d > 0
         mean_log[kk] = np.log(d[nz]).mean() if nz.any() else -np.inf
 
-    lo, hi = cfg.fit_start, cfg.fit_end
-    window = np.arange(lo, hi + 1)
+    window = np.arange(FIT_START, FIT_END + 1)
     finite = np.isfinite(mean_log[window])
     degenerate = np.count_nonzero(finite) < 2
     if degenerate:
@@ -437,14 +402,10 @@ def largest_lyapunov(
     return slope / traj.dt, diag
 
 
-def climate_stats(
-    traj: Trajectory,
-    gp_cfg: GpConfig = GpConfig(),
-    ros_cfg: RosensteinConfig = RosensteinConfig(),
-) -> ClimateStats:
+def climate_stats(traj: Trajectory) -> ClimateStats:
     """Convenience wrapper computing both climate measures."""
-    lam, lyap_diag = largest_lyapunov(traj, ros_cfg)
-    nu, gp_diag = correlation_dimension(traj, gp_cfg)
+    lam, lyap_diag = largest_lyapunov(traj)
+    nu, gp_diag = correlation_dimension(traj)
     return ClimateStats(lambda_max=lam, corr_dim=nu,
                         lyap_diag=lyap_diag, gp_diag=gp_diag)
 

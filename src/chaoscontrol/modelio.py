@@ -177,6 +177,8 @@ def _read_arrays(spec: str, payload: bytes) -> dict:
         name, sep, dims = item.partition(":")
         if not sep:
             raise ConfigError(f"malformed arrays entry: {item!r}")
+        if name in arrays:
+            raise ConfigError(f"model array {name!r} is declared twice")
         shape = tuple(int(d) for d in dims.split("x"))
         if any(d < 0 for d in shape):
             raise ConfigError(f"negative dimension in arrays entry: {item!r}")

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import DIVERGENCE_BOUND, InsufficientDataError, check_prediction
+from .errors import InsufficientDataError, check_prediction
 from .ridge import ridge_fit
 
 __all__ = [
@@ -131,14 +131,14 @@ class NgrcModel:
     W_out: np.ndarray
     tap_buffer: np.ndarray
 
-    def stepper(self, bound: float = DIVERGENCE_BOUND) -> "_NgrcStepper":
+    def stepper(self) -> "_NgrcStepper":
         """Autonomous one-step generator continuing from the stored taps."""
         span = self.config.tap_span
         if len(self.tap_buffer) < span:
             raise InsufficientDataError(
                 f"prediction needs at least {span} trailing samples"
             )
-        return _NgrcStepper(self, self.tap_buffer[-span:], bound)
+        return _NgrcStepper(self, self.tap_buffer[-span:])
 
 
 def _products(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -217,7 +217,7 @@ def train(data: Trajectory, cfg: NgrcConfig) -> NgrcModel:
 class _NgrcStepper:
     """Closed-loop iterator over v(t+dt) = v(t) + W_out r(t)."""
 
-    def __init__(self, model: NgrcModel, history: np.ndarray, bound: float):
+    def __init__(self, model: NgrcModel, history: np.ndarray):
         self._k, self._s = model.config.k, model.config.s
         self._table = model.library.index_table
         self._W = model.W_out
@@ -230,7 +230,6 @@ class _NgrcStepper:
             )
         # taps newest first, then the 1.0 the padded index table points at
         self._taps = np.ones(self._k * self.dim + 1)
-        self._bound = bound
         self._step = 0
 
     def step(self) -> list:
@@ -240,7 +239,7 @@ class _NgrcStepper:
             self._taps[i * d : (i + 1) * d] = self._buf[-1 - i * s]
         v = self._buf[-1] + self._W @ _products(self._taps, self._table)
         self._step += 1
-        floats = check_prediction(v, self._bound, self._step)
+        floats = check_prediction(v, self._step)
         if len(self._buf) > 1:
             self._buf[:-1] = self._buf[1:]
         self._buf[-1] = v

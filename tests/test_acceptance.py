@@ -13,10 +13,8 @@ import numpy as np
 from chaoscontrol import (
     ControlConfig,
     EsnConfig,
-    GpConfig,
     LorenzParams,
     NgrcConfig,
-    RosensteinConfig,
     Trajectory,
     climate_stats,
     correlation_dimension,
@@ -238,24 +236,24 @@ def test_a7_metric_sanity():
     rng = np.random.default_rng(0)
     t = rng.uniform(0.0, 1.0, 10_000)
     line = Trajectory(0.05, np.array([0.3, -1.0, 2.0]) + t[:, None] * np.array([1.5, 1.5, -2.7]))
-    nu_line, _ = correlation_dimension(line, GpConfig())
+    nu_line, _ = correlation_dimension(line)
 
     uv = rng.uniform(0.0, 1.0, (10_000, 2))
     plane = Trajectory(
         0.05,
         uv[:, :1] * np.array([1.0, 0.5, 0.0]) + uv[:, 1:] * np.array([-0.5, 1.0, 0.3]),
     )
-    nu_plane, _ = correlation_dimension(plane, GpConfig())
+    nu_plane, _ = correlation_dimension(plane)
 
     ts = 0.05 * np.arange(4000)
     spiral = np.column_stack(
         [np.exp(-0.3 * ts) * np.cos(ts), np.exp(-0.3 * ts) * np.sin(ts), np.exp(-0.3 * ts)]
     )
-    lam_spiral, _ = largest_lyapunov(Trajectory(0.05, spiral), RosensteinConfig())
+    lam_spiral, _ = largest_lyapunov(Trajectory(0.05, spiral))
 
     params = LorenzParams(10.0, 28.0, 8.0 / 3.0)
     traj = attractor_trajectory(params, 10_000, seed=0)
-    lam_est, _ = largest_lyapunov(traj, RosensteinConfig())
+    lam_est, _ = largest_lyapunov(traj)
     lam_oracle = benettin_lyapunov(params, traj.samples[0], n_steps=20_000)
     rel = abs(lam_est - lam_oracle) / abs(lam_oracle)
 

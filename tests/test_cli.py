@@ -165,7 +165,7 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
 @pytest.mark.parametrize(
     "prepare, argv, message",
     [
-        # 31 samples: shorter than follow_steps + 2 for the Rosenstein estimate
+        # 31 samples: fewer than FOLLOW_STEPS + 2 for the Rosenstein estimate
         (["simulate", "--steps", "30"], ["metrics", "--input", "{out}/trajectory.csv"],
          "insufficient data:"),
         (None, ["simulate", "--steps", "0"], "config error: --steps must be >= 1"),

@@ -107,8 +107,10 @@ def test_predictor_divergence_propagates(train_run_short):
     m = esn_train(train_run_short, EsnConfig(washout=199, seed=3))
     u0 = step_rk4(train_run_short.samples[-1], PLANT_PARAMS, INTEGRATOR)
     cfg = ControlConfig(plant_params=PLANT_PARAMS, K=20.0, n_steps=200)
+    # a readout scaled up a millionfold leaves the bound on its first output
+    m.P = m.P * 1e6
     with pytest.raises(DivergenceError) as info:
-        run_control(m.stepper(bound=1e-9), u0, cfg, INTEGRATOR)
+        run_control(m.stepper(), u0, cfg, INTEGRATOR)
     assert info.value.phase == "predict"
 
 

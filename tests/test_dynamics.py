@@ -113,8 +113,14 @@ def test_simulate_deterministic():
 
 
 def test_trajectory_times():
-    traj = Trajectory(0.05, np.arange(12.0).reshape(4, 3), t0=1.0)
-    np.testing.assert_allclose(traj.times, [1.0, 1.05, 1.1, 1.15])
+    traj = Trajectory(0.05, np.arange(12.0).reshape(4, 3))
+    np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.15])
+
+
+@pytest.mark.parametrize("shape", [(12,), (2, 2, 3)], ids=["1-D", "3-D"])
+def test_trajectory_rejects_samples_not_2d(shape):
+    with pytest.raises(ValueError):
+        Trajectory(0.05, np.zeros(shape))
 
 
 def test_trajectory_rejects_non_finite():

@@ -240,27 +240,23 @@ def test_stepper_matches_oracle_loop(tmp_path, train_run_short, source):
 
 def test_prediction_divergence_bound(train_run_short):
     m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
+    # a readout scaled up a millionfold leaves the bound on its first output
+    m.P = m.P * 1e6
     with pytest.raises(DivergenceError) as info:
-        free_run(m.stepper(bound=1e-6), 50, 0.05)
+        free_run(m.stepper(), 50, 0.05)
     assert info.value.phase == "predict"
 
 
-@pytest.mark.parametrize("readout", ["nan", "inf", "just-over-bound"])
+@pytest.mark.parametrize("readout", ["nan", "inf"])
 def test_divergence_check_on_first_step(train_run_short, readout):
     m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
-    first = m.P @ augmented_state(m.r)
-    bound = 1e3
     if readout == "nan":
         m.P = np.full_like(m.P, np.nan)
-    elif readout == "inf":
+    else:
         # inf times a positive squared state entry, zero elsewhere: v[0] = inf
         m.P = np.zeros_like(m.P)
         m.P[0, 50 + int(np.argmax(m.r * m.r))] = np.inf
-    else:
-        bound = np.nextafter(np.max(np.abs(first)), 0.0)
-        # the bound itself is inside: |v| <= bound passes
-        m.stepper(bound=np.max(np.abs(first))).step()
     with pytest.raises(DivergenceError) as info:
-        m.stepper(bound=bound).step()
+        m.stepper().step()
     assert (info.value.phase, info.value.step) == ("predict", 1)
 

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from chaoscontrol import (
-    GpConfig,
     LorenzParams,
-    RosensteinConfig,
     Trajectory,
     climate_stats,
     correlation_dimension,
@@ -21,7 +19,13 @@ from chaoscontrol import (
 from chaoscontrol.cli import main as cli_main
 from chaoscontrol.errors import InsufficientDataError
 from chaoscontrol.experiments import ExperimentConfig, attractor_series, write_trajectory_csv
-from chaoscontrol.metrics import _FIRST_QUERY_K, _GP_BLOCK, theiler_neighbours
+from chaoscontrol.metrics import (
+    _FIRST_QUERY_K,
+    _GP_BLOCK,
+    FOLLOW_STEPS,
+    THEILER_WINDOW,
+    theiler_neighbours,
+)
 
 from conftest import PLANT_PARAMS, TRAIN_PARAMS, attractor_trajectory
 from oracles import (
@@ -55,26 +59,26 @@ def lorenz_classic():
 
 
 def test_dimension_of_line():
-    nu, diag = correlation_dimension(_line_set(), GpConfig())
+    nu, diag = correlation_dimension(_line_set())
     assert nu == pytest.approx(1.0, abs=0.05)
     assert not diag.degenerate
 
 
 def test_dimension_of_plane():
-    nu, _ = correlation_dimension(_plane_set(), GpConfig())
+    nu, _ = correlation_dimension(_plane_set())
     assert nu == pytest.approx(2.0, abs=0.1)
 
 
 def test_collapsed_cloud_flagged_degenerate():
     traj = Trajectory(0.05, np.tile([1.0, 2.0, 3.0], (500, 1)))
-    nu, diag = correlation_dimension(traj, GpConfig())
+    nu, diag = correlation_dimension(traj)
     assert diag.degenerate
 
 
 def test_collapsed_series_exponent_flagged_degenerate():
     # every neighbour distance is zero, so the divergence curve is all -inf
     traj = Trajectory(0.05, np.tile([1.0, 2.0, 3.0], (300, 1)))
-    lam, diag = largest_lyapunov(traj, RosensteinConfig())
+    lam, diag = largest_lyapunov(traj)
     assert np.isnan(lam) and diag.degenerate
     assert np.all(diag.mean_log_dist == -np.inf)
     stats = climate_stats(traj)
@@ -104,12 +108,12 @@ def _spiral(n):
 
 
 def test_contracting_spiral_has_nonpositive_exponent():
-    lam, _ = largest_lyapunov(Trajectory(0.05, _spiral(4000)), RosensteinConfig())
+    lam, _ = largest_lyapunov(Trajectory(0.05, _spiral(4000)))
     assert lam <= 0.0
 
 
 def test_classic_lorenz_agrees_with_tangent_space_oracle(lorenz_classic):
-    lam, diag = largest_lyapunov(lorenz_classic, RosensteinConfig())
+    lam, diag = largest_lyapunov(lorenz_classic)
     oracle = benettin_lyapunov(
         LorenzParams(10.0, 28.0, 8.0 / 3.0), lorenz_classic.samples[0], n_steps=20_000
     )
@@ -120,7 +124,7 @@ def test_classic_lorenz_agrees_with_tangent_space_oracle(lorenz_classic):
 def test_plant_regime_exponent_value():
     # pinned realization of the rho=167.2 regime
     traj = attractor_trajectory(PLANT_PARAMS, 10_000, seed=4)
-    lam, _ = largest_lyapunov(traj, RosensteinConfig())
+    lam, _ = largest_lyapunov(traj)
     assert lam == pytest.approx(0.845, abs=0.2)
 
 
@@ -135,7 +139,7 @@ def test_rosenstein_reads_low_in_the_paper_regimes(kind, params):
     # climate bands are in Rosenstein units.  A 5k-interval oracle reads
     # 0.651 (X) and 0.606 (Y) on these series.
     traj = attractor_series(ExperimentConfig(), kind, 0, 0, 10_000)
-    lam, _ = largest_lyapunov(traj, RosensteinConfig())
+    lam, _ = largest_lyapunov(traj)
     oracle = benettin_lyapunov(params, traj.samples[0], n_steps=5_000, transient_steps=200)
     assert 0.55 <= lam / oracle <= 0.75
 
@@ -151,20 +155,20 @@ def test_isometry_invariance(lorenz_classic):
         ]
     )
     moved = Trajectory(0.05, lorenz_classic.samples @ rot.T + np.array([5.0, -3.0, 2.0]))
-    nu_a, _ = correlation_dimension(lorenz_classic, GpConfig())
-    nu_b, _ = correlation_dimension(moved, GpConfig())
-    lam_a, _ = largest_lyapunov(lorenz_classic, RosensteinConfig())
-    lam_b, _ = largest_lyapunov(moved, RosensteinConfig())
+    nu_a, _ = correlation_dimension(lorenz_classic)
+    nu_b, _ = correlation_dimension(moved)
+    lam_a, _ = largest_lyapunov(lorenz_classic)
+    lam_b, _ = largest_lyapunov(moved)
     assert abs(nu_a - nu_b) < 1e-6
     assert abs(lam_a - lam_b) < 1e-6
 
 
 def test_scaling_covariance(lorenz_classic):
     scaled = Trajectory(0.05, 3.0 * lorenz_classic.samples)
-    nu_a, _ = correlation_dimension(lorenz_classic, GpConfig())
-    nu_b, _ = correlation_dimension(scaled, GpConfig())
-    lam_a, _ = largest_lyapunov(lorenz_classic, RosensteinConfig())
-    lam_b, _ = largest_lyapunov(scaled, RosensteinConfig())
+    nu_a, _ = correlation_dimension(lorenz_classic)
+    nu_b, _ = correlation_dimension(scaled)
+    lam_a, _ = largest_lyapunov(lorenz_classic)
+    lam_b, _ = largest_lyapunov(scaled)
     # thresholds are fractions of the extent, so both estimates carry over
     assert abs(nu_a - nu_b) < 1e-6
     assert abs(lam_a - lam_b) < 1e-6
@@ -174,8 +178,8 @@ def test_exponent_is_per_model_time(lorenz_classic):
     # same samples at doubled dt: per-step slope is unchanged, so the
     # reported rate must halve exactly
     stretched = Trajectory(0.10, lorenz_classic.samples)
-    lam_a, _ = largest_lyapunov(lorenz_classic, RosensteinConfig())
-    lam_b, _ = largest_lyapunov(stretched, RosensteinConfig())
+    lam_a, _ = largest_lyapunov(lorenz_classic)
+    lam_b, _ = largest_lyapunov(stretched)
     assert lam_b == pytest.approx(lam_a / 2.0, rel=1e-12)
 
 
@@ -207,7 +211,7 @@ def test_pair_counts_match_brute_force_oracle(name):
     n = len(points)
     if name in ("lorenz-long", "lattice"):
         assert n > 4 * _GP_BLOCK
-    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
+    _, diag = correlation_dimension(Trajectory(0.05, points))
     assert diag.n_pairs == n * (n - 1)
     counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
     np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
@@ -249,7 +253,7 @@ def test_forked_count_leaves_no_child(monkeypatch, fork_small_counts):
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", counting_fork)
     points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
+    _, diag = correlation_dimension(Trajectory(0.05, points))
     assert forks == [1]
     counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
     np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
@@ -260,7 +264,7 @@ def test_count_without_fork_matches_oracle(monkeypatch, fork_small_counts):
     # a platform without os.fork (Windows) counts in one process
     monkeypatch.delattr(os, "fork", raising=False)
     points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
+    _, diag = correlation_dimension(Trajectory(0.05, points))
     counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
     np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
 
@@ -305,7 +309,7 @@ def test_failed_child_falls_back_to_parent_count(monkeypatch, fork_small_counts,
 
     monkeypatch.setattr(metrics, "_binned_pair_counts", faulty_in_child)
     points = attractor_trajectory(PLANT_PARAMS, 599, seed=2).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points), GpConfig())
+    _, diag = correlation_dimension(Trajectory(0.05, points))
     counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
     np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
     assert _no_child_left()
@@ -325,9 +329,8 @@ def test_failed_child_falls_back_to_parent_count(monkeypatch, fork_small_counts,
 )
 def test_theiler_neighbours_match_brute_force_oracle(series, deep):
     points = series()
-    window = RosensteinConfig().theiler_window
-    neighbour, has_valid = theiler_neighbours(points, window)
-    expected, rank, expected_valid = theiler_nearest_neighbours(points, window)
+    neighbour, has_valid = theiler_neighbours(points, THEILER_WINDOW)
+    expected, rank, expected_valid = theiler_nearest_neighbours(points, THEILER_WINDOW)
     assert (rank.max() >= _FIRST_QUERY_K) == deep
     np.testing.assert_array_equal(has_valid, expected_valid)
     np.testing.assert_array_equal(neighbour, expected)
@@ -336,10 +339,9 @@ def test_theiler_neighbours_match_brute_force_oracle(series, deep):
 def test_rows_without_valid_neighbour_lower_valid_fraction():
     # 80 trackable rows with a 50-step window: rows 29..50 have no partner
     traj = attractor_trajectory(PLANT_PARAMS, 139, seed=3)
-    cfg = RosensteinConfig()
-    m = len(traj) - cfg.follow_steps
-    _, _, expected_valid = theiler_nearest_neighbours(traj.samples[:m], cfg.theiler_window)
-    _, diag = largest_lyapunov(traj, cfg)
+    m = len(traj) - FOLLOW_STEPS
+    _, _, expected_valid = theiler_nearest_neighbours(traj.samples[:m], THEILER_WINDOW)
+    _, diag = largest_lyapunov(traj)
     assert diag.valid_fraction == expected_valid.sum() / m
     assert diag.valid_fraction == 58 / 80
 
@@ -362,34 +364,21 @@ def _with_repeated_stretch(n=400):
 )
 def test_divergence_curve_matches_per_offset_loop(series, all_valid):
     points = series()
-    cfg = RosensteinConfig()
-    m = len(points) - cfg.follow_steps
-    nb, has_valid = theiler_neighbours(points[:m], cfg.theiler_window)
+    m = len(points) - FOLLOW_STEPS
+    nb, has_valid = theiler_neighbours(points[:m], THEILER_WINDOW)
     ref = np.flatnonzero(has_valid)
-    _, diag = largest_lyapunov(Trajectory(0.05, points), cfg)
+    _, diag = largest_lyapunov(Trajectory(0.05, points))
     assert (diag.valid_fraction == 1.0) == all_valid
     if all_valid:
         assert np.any(np.all(points[ref] == points[nb[ref]], axis=1))
-    expected = mean_log_divergence(points, ref, nb[ref], cfg.follow_steps)
+    expected = mean_log_divergence(points, ref, nb[ref], FOLLOW_STEPS)
     assert np.array_equal(diag.mean_log_dist, expected)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        GpConfig(r_min=0.2, r_max=0.1)
-    with pytest.raises(ValueError):
-        GpConfig(n_r=3)
-    with pytest.raises(ValueError):
-        RosensteinConfig(fit_start=30, fit_end=20)
-    with pytest.raises(ValueError):
-        RosensteinConfig(fit_end=80, follow_steps=60)
 
 
 def test_climate_stats_bundle(lorenz_classic):
     stats = climate_stats(lorenz_classic)
     assert stats.lambda_max > 0
     assert 1.5 < stats.corr_dim < 2.5
-    assert stats.lyap_diag is not None and stats.gp_diag is not None
     assert not stats.lyap_diag.degenerate and not stats.gp_diag.degenerate
     assert stats.gp_diag.r_squared > 0.9
 
@@ -411,4 +400,4 @@ def test_diagnostics_csv_round_trip(tmp_path, lorenz_classic):
 
 def test_too_short_series_rejected():
     with pytest.raises(InsufficientDataError):
-        largest_lyapunov(Trajectory(0.05, np.zeros((5, 3))), RosensteinConfig())
+        largest_lyapunov(Trajectory(0.05, np.zeros((5, 3))))

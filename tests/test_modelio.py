@@ -133,6 +133,22 @@ def test_malformed_header_is_config_error(tmp_path, capsys, request, model, old,
     raw = path.read_bytes()
     assert old in raw
     path.write_bytes(raw.replace(old, new, 1))
+    _assert_config_error(path, tmp_path, capsys)
+
+
+def test_repeated_array_name_is_config_error(tmp_path, capsys, trained_ngrc):
+    # the second entry has its own 24 payload bytes, so every size matches
+    path = tmp_path / "model.ccm"
+    save_model(path, trained_ngrc)
+    raw = path.read_bytes()
+    assert b",tap_buffer:1x3\n" in raw
+    raw = raw.replace(b",tap_buffer:1x3\n", b",tap_buffer:1x3,tap_buffer:1x3\n", 1)
+    path.write_bytes(raw + np.ones(3).astype("<f8").tobytes())
+    _assert_config_error(path, tmp_path, capsys)
+
+
+def _assert_config_error(path, tmp_path, capsys):
+    """Loading ``path`` raises ConfigError; predict exits 2 with one line."""
     with pytest.raises(ConfigError):
         load_model(path)
     code = cli_main(["predict", "--model", str(path), "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -41,3 +42,30 @@ def test_public_names_have_a_caller_in_the_package(name):
     read = _names_read_in_package()
     unused = [attr for attr in getattr(module, "__all__", ()) if attr not in read]
     assert not unused, f"chaoscontrol.{name} exports names no package code reads: {unused}"
+
+
+def _classes_built_with_arguments() -> set:
+    """Names of the callables package code calls with at least one argument."""
+    called = set()
+    for path in Path(chaoscontrol.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and (node.args or node.keywords):
+                if isinstance(node.func, ast.Name):
+                    called.add(node.func.id)
+                elif isinstance(node.func, ast.Attribute):
+                    called.add(node.func.attr)
+    return called
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_configs_are_set_in_the_package(name):
+    # a config class that package code only ever builds with its defaults
+    # holds constants; they belong in its module as named values
+    module = importlib.import_module(f"chaoscontrol.{name}")
+    configs = [
+        attr for attr in getattr(module, "__all__", ())
+        if attr.endswith("Config") and dataclasses.is_dataclass(getattr(module, attr))
+    ]
+    built = _classes_built_with_arguments()
+    unset = [attr for attr in configs if attr not in built]
+    assert not unset, f"chaoscontrol.{name} exports configs built only with defaults: {unset}"
