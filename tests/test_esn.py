@@ -13,6 +13,7 @@ from chaoscontrol import (
     save_model,
 )
 from chaoscontrol.errors import (
+    DIVERGENCE_BOUND,
     DivergenceError,
     InsufficientDataError,
     ReservoirSamplingError,
@@ -247,15 +248,24 @@ def test_prediction_divergence_bound(train_run_short):
     assert info.value.phase == "predict"
 
 
-@pytest.mark.parametrize("readout", ["nan", "inf"])
+@pytest.mark.parametrize("readout", ["nan", "inf", "just-over-bound"])
 def test_divergence_check_on_first_step(train_run_short, readout):
     m = train(train_run_short, EsnConfig(reservoir_dim=50, washout=100, seed=12))
     if readout == "nan":
         m.P = np.full_like(m.P, np.nan)
-    else:
+    elif readout == "inf":
         # inf times a positive squared state entry, zero elsewhere: v[0] = inf
         m.P = np.zeros_like(m.P)
         m.P[0, 50 + int(np.argmax(m.r * m.r))] = np.inf
+    else:
+        # state e_0 and a readout zero but for P[0, 0] emit v = (P[0, 0], 0, 0)
+        m.r = np.zeros_like(m.r)
+        m.r[0] = 1.0
+        m.P = np.zeros_like(m.P)
+        # the bound itself is inside: |v| <= DIVERGENCE_BOUND passes
+        m.P[0, 0] = DIVERGENCE_BOUND
+        assert m.stepper().step() == [DIVERGENCE_BOUND, 0.0, 0.0]
+        m.P[0, 0] = np.nextafter(DIVERGENCE_BOUND, np.inf)
     with pytest.raises(DivergenceError) as info:
         m.stepper().step()
     assert (info.value.phase, info.value.step) == ("predict", 1)

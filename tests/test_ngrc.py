@@ -3,7 +3,7 @@ import pytest
 
 from chaoscontrol import NgrcConfig, NgrcModel, Trajectory, build_library, climate_stats
 from chaoscontrol.control import free_run
-from chaoscontrol.errors import DivergenceError, InsufficientDataError
+from chaoscontrol.errors import DIVERGENCE_BOUND, DivergenceError, InsufficientDataError
 from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
 from chaoscontrol.ngrc import build_design, poly_features, train
 
@@ -279,15 +279,23 @@ def test_prediction_divergence_signal(train_run_short):
     assert info.value.phase == "predict"
 
 
-@pytest.mark.parametrize("readout", ["nan", "inf"])
+@pytest.mark.parametrize("readout", ["nan", "inf", "just-over-bound"])
 def test_divergence_check_on_first_step(train_run_short, readout):
     model = train(train_run_short, NgrcConfig())
     if readout == "nan":
         model.W_out = np.full_like(model.W_out, np.nan)
-    else:
+    elif readout == "inf":
         # inf times the positive x^2 feature, zero elsewhere: v[0] = inf
         model.W_out = np.zeros_like(model.W_out)
         model.W_out[0, model.library.monomials.index((0, 0))] = np.inf
+    else:
+        # a zero readout adds nothing: v is the newest tap, (x0, 0, 0)
+        model.W_out = np.zeros_like(model.W_out)
+        model.tap_buffer = np.zeros_like(model.tap_buffer)
+        # the bound itself is inside: |v| <= DIVERGENCE_BOUND passes
+        model.tap_buffer[-1, 0] = DIVERGENCE_BOUND
+        assert model.stepper().step() == [DIVERGENCE_BOUND, 0.0, 0.0]
+        model.tap_buffer[-1, 0] = np.nextafter(DIVERGENCE_BOUND, np.inf)
     with pytest.raises(DivergenceError) as info:
         model.stepper().step()
     assert (info.value.phase, info.value.step) == ("predict", 1)
