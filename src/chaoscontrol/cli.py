@@ -186,8 +186,11 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_predict(args, cfg: ExperimentConfig) -> int:
     steps = _steps(args, cfg, 0)
-    model = load_model(args.model)
-    traj = free_run(model.stepper(), steps, cfg.dt)
+    stepper = load_model(args.model).stepper()
+    if stepper.dim != 3:
+        # prediction.csv is t,x,y,z; refuse before the free run, not after
+        raise ConfigError(f"{args.model}: the model predicts {stepper.dim} variables, not 3")
+    traj = free_run(stepper, steps, cfg.dt)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "prediction.csv")
     write_trajectory_csv(path, traj, timestamp=not args.no_timestamp)

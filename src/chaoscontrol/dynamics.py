@@ -148,22 +148,15 @@ def _rk4_intervals(x, y, z, sigma, rho, beta, dt, substeps, fx, fy, fz, n=1, emi
     return x, y, z
 
 
-def step_rk4(u, p: LorenzParams, cfg: IntegratorConfig, force=None) -> np.ndarray:
-    """Advance the Lorenz state by one sampling interval [t, t+dt].
-
-    An optional constant force is added to the vector field and held fixed
-    (zero-order hold) across every RK4 stage of the interval.
+def step_rk4(u, p: LorenzParams, cfg: IntegratorConfig) -> np.ndarray:
+    """Advance the unforced Lorenz state by one sampling interval [t, t+dt].
 
     Raises:
         IntegrationError: if the resulting state is non-finite.
     """
-    if force is None:
-        fx = fy = fz = 0.0
-    else:
-        fx, fy, fz = float(force[0]), float(force[1]), float(force[2])
     out = _rk4_intervals(
         float(u[0]), float(u[1]), float(u[2]),
-        p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps, fx, fy, fz,
+        p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps, 0.0, 0.0, 0.0,
     )
     if not (math.isfinite(out[0]) and math.isfinite(out[1]) and math.isfinite(out[2])):
         raise IntegrationError("RK4 step produced a non-finite state", step=0)

@@ -50,7 +50,6 @@ class EsnConfig:
     ridge_beta: float = 1e-11
     washout: int = 1000
     seed: int = 0
-    input_dim: int = 3
 
     def __post_init__(self):
         if self.reservoir_dim < 1:
@@ -63,8 +62,6 @@ class EsnConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.washout < 0:
             raise ValueError("washout must be >= 0")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
 
 
 @dataclass
@@ -97,8 +94,8 @@ def _spectral_radius(a: sparse.csr_matrix) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
 
 
-def build_reservoir(cfg: EsnConfig) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Sample the random network A and the input map W_in.
+def build_reservoir(cfg: EsnConfig, input_dim: int) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Sample the random network A and the (d, input_dim) input map W_in.
 
     Every entry of A (diagonal included) is present with ``edge_prob``;
     nonzero weights are uniform on [-1, 1] before rescaling to the target
@@ -118,7 +115,7 @@ def build_reservoir(cfg: EsnConfig) -> tuple[sparse.csr_matrix, np.ndarray]:
         if radius > 0.0:
             a = a * (cfg.spectral_radius / radius)
             w_in = rng.uniform(-cfg.input_scale, cfg.input_scale,
-                               size=(d, cfg.input_dim))
+                               size=(d, input_dim))
             return a, w_in
     raise ReservoirSamplingError(
         f"network spectral radius stayed zero after {MAX_SAMPLING_ATTEMPTS} draws"
@@ -194,7 +191,7 @@ def train(data: Trajectory, cfg: EsnConfig) -> EsnModel:
         InsufficientDataError: fewer than washout+2 samples.
         IllConditionedError: ridge solve failure (propagated).
     """
-    a, w_in = build_reservoir(cfg)
+    a, w_in = build_reservoir(cfg, data.dim)
     samples = data.samples
     n = len(samples)
     if n < cfg.washout + 2:

@@ -55,7 +55,7 @@ from .errors import (
 from .esn import EsnConfig, EsnModel
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
-from .modelio import field_parsers
+from .modelio import field_parsers, parse_key_values
 from .ngrc import NgrcConfig, NgrcModel
 from .ngrc import train as ngrc_train
 from .svgplot import errorbar_chart, line_chart
@@ -228,30 +228,14 @@ _SWEEP_KEYS = {
 def load_config_file(path) -> dict:
     """Parse a flat key=value config file ('#' comments, blank lines ok).
 
-    A key given twice is a ConfigError, like an unknown one: the file would
-    otherwise run with whichever value came last.
+    A key given twice is a ConfigError, like an unknown one.
     """
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-    mapping, key_lines = {}, {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key = key.strip()
-        if key in key_lines:
-            raise ConfigError(
-                f"{path}:{lineno}: key {key!r} already set on line {key_lines[key]}"
-            )
-        key_lines[key] = lineno
-        mapping[key] = value.strip().strip("\"'")
-    return mapping
+    return parse_key_values(lines, path)
 
 
 def config_from_mapping(mapping: dict) -> tuple:

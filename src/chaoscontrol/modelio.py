@@ -3,25 +3,31 @@
 The on-disk format is a flat hybrid of a key=value header and a raw
 array payload:
 
-    #chaoscontrol-model v1
-    kind=classic
-    <config key=value lines>
-    arrays=A:300x300,W_in:300x3,P:3x600,r:300
+    #chaoscontrol-model v2
+    kind=ngrc
+    k=1
+    s=57
+    orders=1,2,3,4
+    ridge_beta=0.0001
+    arrays=W_out:3x34,tap_buffer:1x3
     #payload
     <little-endian float64 bytes, row-major, arrays in declared order>
 
-The ``arrays`` line records every array's name and shape; the payload is
-the concatenation of the arrays' C-order bytes with nothing in between,
-so offsets follow from the declared shapes alone.  The loader reads the
-arrays a model needs by name and skips any other declared array, so
-files that still carry the ``last_sample`` array of earlier writers load
-unchanged.  Polynomial models additionally carry their exponent table in
-the header (``monomials=``, a semicolon-separated list of variable-index
-multisets), making the stored readout self-describing.  Prediction state
-(reservoir vector / tap buffer) is included so a loaded model continues
-exactly where training ended.  A header key given twice is an error.
-The config lines are the ``EsnConfig`` or ``NgrcConfig`` fields in field
-order, written by :func:`format_fields` and read by :func:`field_parsers`.
+The header holds only what the loader cannot derive: the kind, the
+``EsnConfig`` or ``NgrcConfig`` fields in field order (written by
+:func:`format_fields`, read by :func:`field_parsers`) and the arrays.  The
+data's dimension is the width of the arrays (``P`` rows, ``tap_buffer``
+columns), and a polynomial model's monomial table is
+``build_library(k * dim, orders)``.  The ``arrays`` line records every
+array's name and shape; the payload is the concatenation of the arrays'
+C-order bytes with nothing in between, so offsets follow from the declared
+shapes alone.  Prediction state (reservoir vector / tap buffer) is
+included so a loaded model continues exactly where training ended.
+
+The loader also reads v1 files.  Their ``input_dim=`` and ``monomials=``
+lines, like any header key it does not use, are not read, and neither is
+a declared array it does not use, such as the ``last_sample`` of earlier
+writers.  A header key given twice is an error.
 """
 
 from __future__ import annotations
@@ -36,11 +42,16 @@ from scipy import sparse
 
 from .esn import EsnConfig, EsnModel
 from .errors import ConfigError
-from .ngrc import MonomialLibrary, NgrcConfig, NgrcModel, build_library
+from .ngrc import NgrcConfig, NgrcModel
 
-__all__ = ["save_model", "load_model", "FORMAT_MAGIC", "field_parsers", "format_fields"]
+__all__ = [
+    "save_model", "load_model", "FORMAT_MAGIC", "field_parsers", "format_fields",
+    "parse_key_values",
+]
 
-FORMAT_MAGIC = "#chaoscontrol-model v1"
+FORMAT_MAGIC = "#chaoscontrol-model v2"
+# v1 headers add input_dim= and monomials=, both derivable; v1 still loads
+_READABLE_MAGICS = (FORMAT_MAGIC, "#chaoscontrol-model v1")
 _PAYLOAD_MARK = b"#payload\n"
 
 
@@ -86,81 +97,58 @@ def _config_from_header(cls, fields: dict):
     return cls(**{name: parse(fields[name]) for name, parse in field_parsers(cls).items()})
 
 
-def _esn_header_and_arrays(model: EsnModel):
-    header = {"kind": "classic", **format_fields(model.config)}
-    arrays = [
-        ("A", model.A.toarray()),
-        ("W_in", model.W_in),
-        ("P", model.P),
-        ("r", model.r),
-    ]
-    return header, arrays
+def parse_key_values(lines, where) -> dict:
+    """{key: value} of ``key=value`` lines; '#' comments and blank lines skipped.
 
-
-def _encode_monomials(library) -> str:
-    # each monomial is a sorted variable-index tuple; "0,0,2" = x0^2 * x2
-    return ";".join(",".join(str(i) for i in mono) for mono in library.monomials)
-
-
-def _decode_monomials(text: str) -> tuple:
-    return tuple(
-        tuple(int(i) for i in item.split(",")) for item in text.split(";") if item
-    )
-
-
-def _ngrc_header_and_arrays(model: NgrcModel):
-    header = {
-        "kind": "ngrc",
-        **format_fields(model.config),
-        "input_dim": str(model.library.input_dim),
-        "monomials": _encode_monomials(model.library),
-    }
-    arrays = [
-        ("W_out", model.W_out),
-        ("tap_buffer", model.tap_buffer),
-    ]
-    return header, arrays
+    Keys and values are stripped of whitespace, and values of surrounding
+    quotes.  A line without '=' or a key given twice is a ConfigError that
+    starts with ``where:<line number>``: the file would otherwise run with
+    whichever value came last.
+    """
+    mapping, key_lines = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}:{lineno}: expected key=value, got {raw!r}")
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(
+                f"{where}:{lineno}: key {key!r} already set on line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
+        mapping[key] = value.strip().strip("\"'")
+    return mapping
 
 
 def save_model(path, model: Union[EsnModel, NgrcModel]) -> None:
-    """Write a model to ``path`` in the v1 format."""
+    """Write a model to ``path`` in the v2 format."""
     if isinstance(model, EsnModel):
-        header, arrays = _esn_header_and_arrays(model)
+        kind = "classic"
+        arrays = [
+            ("A", model.A.toarray()), ("W_in", model.W_in), ("P", model.P), ("r", model.r),
+        ]
     elif isinstance(model, NgrcModel):
-        header, arrays = _ngrc_header_and_arrays(model)
+        kind = "ngrc"
+        arrays = [("W_out", model.W_out), ("tap_buffer", model.tap_buffer)]
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
 
     dims = ",".join(
         f"{name}:{'x'.join(str(d) for d in np.shape(arr))}" for name, arr in arrays
     )
+    header = {"kind": kind, **format_fields(model.config), "arrays": dims}
     buf = io.BytesIO()
     buf.write((FORMAT_MAGIC + "\n").encode())
     for key, value in header.items():
         buf.write(f"{key}={value}\n".encode())
-    buf.write(f"arrays={dims}\n".encode())
     buf.write(_PAYLOAD_MARK)
     for _, arr in arrays:
         buf.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
-
-
-def _parse_header(text: str) -> dict:
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_MAGIC:
-        raise ConfigError("not a chaoscontrol model file (bad magic line)")
-    fields = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"malformed model header line: {line!r}")
-        if key in fields:
-            raise ConfigError(f"model header key {key!r} is given twice")
-        fields[key] = value
-    return fields
 
 
 def _split_payload(raw: bytes):
@@ -180,8 +168,8 @@ def _read_arrays(spec: str, payload: bytes) -> dict:
         if name in arrays:
             raise ConfigError(f"model array {name!r} is declared twice")
         shape = tuple(int(d) for d in dims.split("x"))
-        if any(d < 0 for d in shape):
-            raise ConfigError(f"negative dimension in arrays entry: {item!r}")
+        if any(d < 1 for d in shape):
+            raise ConfigError(f"non-positive dimension in arrays entry: {item!r}")
         count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(payload):
@@ -207,19 +195,22 @@ def _check_shapes(arrays: dict, expected: dict) -> None:
 
 
 def load_model(path) -> Union[EsnModel, NgrcModel]:
-    """Read a model saved by :func:`save_model`."""
+    """Read a model saved by :func:`save_model`, in the v2 or the v1 format."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         text, payload = _split_payload(raw)
-        fields = _parse_header(text)
+        lines = text.splitlines()
+        if not lines or lines[0] not in _READABLE_MAGICS:
+            raise ConfigError("not a chaoscontrol model file (bad magic line)")
+        fields = parse_key_values(lines, path)
         kind = fields.get("kind")
         arrays = _read_arrays(fields["arrays"], payload)
         if kind == "classic":
             cfg = _config_from_header(EsnConfig, fields)
-            d, n_in = cfg.reservoir_dim, cfg.input_dim
+            d, dim = cfg.reservoir_dim, arrays["P"].shape[0]
             _check_shapes(arrays, {
-                "A": (d, d), "W_in": (d, n_in), "P": (n_in, 2 * d), "r": (d,),
+                "A": (d, d), "W_in": (d, dim), "P": (dim, 2 * d), "r": (d,),
             })
             return EsnModel(
                 config=cfg,
@@ -230,28 +221,15 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
             )
         if kind == "ngrc":
             cfg = _config_from_header(NgrcConfig, fields)
-            lib = MonomialLibrary(
-                input_dim=int(fields["input_dim"]),
-                monomials=_decode_monomials(fields["monomials"]),
-            )
-            # count first: a corrupt order or input_dim could ask
-            # build_library for an astronomically large table
-            n_monomials = sum(math.comb(lib.input_dim + o - 1, o) for o in cfg.orders)
-            if len(lib) != n_monomials or lib != build_library(lib.input_dim, cfg.orders):
-                raise ConfigError(
-                    "stored exponent table does not match the declared orders"
-                )
-            if lib.input_dim % cfg.k:
-                raise ConfigError(
-                    f"input_dim {lib.input_dim} is not a multiple of k={cfg.k}"
-                )
-            dim = lib.input_dim // cfg.k
-            _check_shapes(arrays, {
-                "W_out": (dim, len(lib)), "tap_buffer": (cfg.tap_span, dim),
-            })
+            # tap_buffer first, so the payload bounds k; then the monomial
+            # count, so a corrupt order is rejected here rather than by the
+            # stepper asking build_library for an astronomically large table
+            dim = arrays["tap_buffer"].shape[-1]
+            _check_shapes(arrays, {"tap_buffer": (cfg.tap_span, dim)})
+            n_monomials = sum(math.comb(cfg.k * dim + o - 1, o) for o in cfg.orders)
+            _check_shapes(arrays, {"W_out": (dim, n_monomials)})
             return NgrcModel(
                 config=cfg,
-                library=lib,
                 W_out=arrays["W_out"],
                 tap_buffer=arrays["tap_buffer"],
             )

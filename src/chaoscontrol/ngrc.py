@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, isfinite
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,8 +102,13 @@ class MonomialLibrary:
         return table
 
 
-def build_library(input_dim: int, orders: Sequence[int]) -> MonomialLibrary:
-    """Enumerate the unique monomials of each requested order."""
+@lru_cache
+def build_library(input_dim: int, orders: tuple[int, ...]) -> MonomialLibrary:
+    """Enumerate the unique monomials of each requested order.
+
+    Cached: the library is frozen, so the trainer and every stepper share
+    one instance per (input_dim, orders).
+    """
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     monos = []
@@ -123,11 +127,12 @@ class NgrcModel:
     """Trained readout plus the tap buffer needed to restart prediction.
 
     ``tap_buffer`` holds the trailing (k-1)*s + 1 training samples, so the
-    closed loop continues directly from the end of the training data.
+    closed loop continues directly from the end of the training data.  The
+    monomial library is not stored: it is ``build_library(k * dim, orders)``
+    with ``dim`` the width of ``tap_buffer``.
     """
 
     config: NgrcConfig
-    library: MonomialLibrary
     W_out: np.ndarray
     tap_buffer: np.ndarray
 
@@ -167,9 +172,7 @@ def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
     return _products(padded, lib.index_table)
 
 
-def build_design(
-    data: Trajectory, cfg: NgrcConfig, lib: Optional[MonomialLibrary] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows and one-step-increment targets for the regression.
 
     Row t (for warm-up <= t <= T-2) holds the features of the taps ending at
@@ -178,8 +181,6 @@ def build_design(
     Raises:
         InsufficientDataError: series shorter than warm-up + 2.
     """
-    if lib is None:
-        lib = build_library(data.dim * cfg.k, cfg.orders)
     samples = data.samples
     t_total = len(samples)
     if t_total < cfg.warmup + 2:
@@ -191,7 +192,7 @@ def build_design(
         [samples[cfg.warmup - i * cfg.s : t_total - 1 - i * cfg.s] for i in range(cfg.k)],
         axis=1,
     )
-    design = poly_features(taps, lib)
+    design = poly_features(taps, build_library(data.dim * cfg.k, cfg.orders))
     targets = samples[cfg.warmup + 1 :] - samples[cfg.warmup : -1]
     return design, targets
 
@@ -202,13 +203,11 @@ def train(data: Trajectory, cfg: NgrcConfig) -> NgrcModel:
     Raises:
         InsufficientDataError, IllConditionedError: propagated.
     """
-    lib = build_library(data.dim * cfg.k, cfg.orders)
-    design, targets = build_design(data, cfg, lib)
+    design, targets = build_design(data, cfg)
     w_out = ridge_fit(design, targets, cfg.ridge_beta)
     span = cfg.tap_span
     return NgrcModel(
         config=cfg,
-        library=lib,
         W_out=w_out,
         tap_buffer=data.samples[-span:].copy(),
     )
@@ -219,15 +218,10 @@ class _NgrcStepper:
 
     def __init__(self, model: NgrcModel, history: np.ndarray):
         self._k, self._s = model.config.k, model.config.s
-        self._table = model.library.index_table
         self._W = model.W_out
         self._buf = np.array(history, dtype=float)  # ring of tap_span samples
         self.dim = self._buf.shape[1]
-        if self._k * self.dim != model.library.input_dim:
-            raise ValueError(
-                f"{self._k} taps of {self.dim} variables do not match a library "
-                f"over {model.library.input_dim}"
-            )
+        self._table = build_library(self._k * self.dim, model.config.orders).index_table
         # taps newest first, then the 1.0 the padded index table points at
         self._taps = np.ones(self._k * self.dim + 1)
         self._step = 0

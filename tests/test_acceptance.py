@@ -169,7 +169,7 @@ def test_a5_ridge_oracle_both_trainers():
             reservoir_dim=5, edge_prob=0.6, input_scale=0.3,
             spectral_radius=0.4, ridge_beta=beta, washout=3, seed=8,
         )
-        a, w_in = esn.build_reservoir(cfg)
+        a, w_in = esn.build_reservoir(cfg, 3)
         r = np.zeros(cfg.reservoir_dim)
         rows, targets = [], []
         for t in range(len(drive) - 1):

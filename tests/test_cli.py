@@ -33,6 +33,23 @@ def test_missing_model_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["classic", "ngrc"])
+def test_predict_of_a_two_variable_model_exits_2(tmp_path, capsys, kind):
+    # the model file is valid, but prediction.csv holds three components
+    data = Trajectory(0.05, np.random.default_rng(0).uniform(-1, 1, (200, 2)))
+    if kind == "classic":
+        model = chaoscontrol.esn.train(data, chaoscontrol.EsnConfig(reservoir_dim=10, washout=20))
+    else:
+        model = chaoscontrol.ngrc.train(data, chaoscontrol.NgrcConfig(s=2, orders=(1, 2)))
+    path = tmp_path / "model.ccm"
+    chaoscontrol.save_model(path, model)
+    code = run_cli("predict", "--model", str(path), "--out", str(tmp_path / "pred"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: the model predicts 2 variables, not 3\n"
+    assert not (tmp_path / "pred").exists()
+
+
 def test_simulate_schema_and_seed_determinism(tmp_path, capsys):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for out in (a, b):

@@ -11,6 +11,7 @@ from chaoscontrol import (
     simulate,
     step_rk4,
 )
+from chaoscontrol.dynamics import _rk4_intervals
 
 from conftest import INTEGRATOR, TRAIN_PARAMS
 from oracles import lorenz_deriv, rk4_step
@@ -34,10 +35,19 @@ def test_params_validation():
         LorenzParams(10.0, 28.0, 0.0)
 
 
+def _forced_interval(u, cfg, force):
+    """One sampling interval of the package kernel under a constant force."""
+    p = TRAIN_PARAMS
+    return np.array(_rk4_intervals(
+        *(float(c) for c in u), p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps,
+        *(float(f) for f in force),
+    ))
+
+
 def test_zero_force_step_matches_unforced():
     u = np.array([3.0, -1.5, 30.0])
     a = step_rk4(u, TRAIN_PARAMS, INTEGRATOR)
-    b = step_rk4(u, TRAIN_PARAMS, INTEGRATOR, force=np.zeros(3))
+    b = _forced_interval(u, INTEGRATOR, np.zeros(3))
     np.testing.assert_array_equal(a, b)
 
 
@@ -46,7 +56,7 @@ def test_forced_step_equals_augmented_field():
     u = np.array([3.0, -1.5, 30.0])
     force = np.array([0.7, -2.0, 1.3])
     cfg = IntegratorConfig(dt=0.05, substeps=1)
-    via_force = step_rk4(u, TRAIN_PARAMS, cfg, force=force)
+    via_force = _forced_interval(u, cfg, force)
     via_field = rk4_step(lambda w: lorenz_deriv(w, TRAIN_PARAMS) + force, u, 0.05)
     np.testing.assert_array_equal(via_force, via_field)
 
@@ -74,7 +84,10 @@ def test_kernel_matches_generic_rk4_bitwise(substeps, forced):
 
     chained = [expected[0]]
     for force in forces:
-        chained.append(step_rk4(chained[-1], TRAIN_PARAMS, cfg, force=force))
+        u = chained[-1]
+        chained.append(
+            _forced_interval(u, cfg, force) if forced else step_rk4(u, TRAIN_PARAMS, cfg)
+        )
     np.testing.assert_array_equal(np.array(chained), expected)
     if not forced:
         traj = simulate(expected[0], TRAIN_PARAMS, cfg, n)

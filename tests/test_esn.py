@@ -26,13 +26,13 @@ from oracles import augmented_state, esn_free_run, esn_harvest, ridge_normal_equ
 
 
 def test_edge_count_matches_binomial_sampling():
-    a, _ = build_reservoir(EsnConfig(seed=0))
+    a, _ = build_reservoir(EsnConfig(seed=0), 3)
     mean = 300 * 299 * 0.02
     assert abs(a.nnz - mean) <= 3.0 * math.sqrt(mean)
 
 
 def test_rescaled_spectral_radius():
-    a, _ = build_reservoir(EsnConfig(seed=1))
+    a, _ = build_reservoir(EsnConfig(seed=1), 3)
     eigs = np.linalg.eigvals(a.toarray())
     assert abs(np.abs(eigs).max() - 0.0084) < 1e-9
 
@@ -40,28 +40,28 @@ def test_rescaled_spectral_radius():
 def test_rescaled_spectral_radius_above_512_units():
     # this draw's largest eigenvalues are a complex pair within 0.3% of the
     # next pair; an iterating estimate of the radius lands 4.6% high
-    a, _ = build_reservoir(EsnConfig(reservoir_dim=600, seed=0))
+    a, _ = build_reservoir(EsnConfig(reservoir_dim=600, seed=0), 3)
     eigs = np.linalg.eigvals(a.toarray())
     assert abs(np.abs(eigs).max() - 0.0084) < 1e-9
 
 
 def test_input_map_range():
-    _, w_in = build_reservoir(EsnConfig(seed=2))
+    _, w_in = build_reservoir(EsnConfig(seed=2), 3)
     assert w_in.shape == (300, 3)
     assert np.abs(w_in).max() <= 0.0084
 
 
 def test_empty_graph_raises_after_retries():
     with pytest.raises(ReservoirSamplingError):
-        build_reservoir(EsnConfig(edge_prob=0.0, seed=0))
+        build_reservoir(EsnConfig(edge_prob=0.0, seed=0), 3)
 
 
 def test_seed_determinism():
-    a, w_a = build_reservoir(EsnConfig(seed=9))
-    b, w_b = build_reservoir(EsnConfig(seed=9))
+    a, w_a = build_reservoir(EsnConfig(seed=9), 3)
+    b, w_b = build_reservoir(EsnConfig(seed=9), 3)
     assert np.array_equal(a.toarray(), b.toarray())
     assert np.array_equal(w_a, w_b)
-    c, _ = build_reservoir(EsnConfig(seed=10))
+    c, _ = build_reservoir(EsnConfig(seed=10), 3)
     assert not np.array_equal(a.toarray(), c.toarray())
 
 
@@ -101,7 +101,7 @@ def test_augmentation_invariant():
 
 def _closed_loop_series(cfg, p0, u0, n):
     """Data generated exactly by readout p0 applied to the driven state."""
-    a, w_in = build_reservoir(cfg)
+    a, w_in = build_reservoir(cfg, 3)
     r = np.zeros(cfg.reservoir_dim)
     u = np.asarray(u0, dtype=float)
     samples = [u]
@@ -131,7 +131,7 @@ def test_small_instance_matches_normal_equations_oracle():
         reservoir_dim=4, edge_prob=0.6, input_scale=0.3, spectral_radius=0.4,
         ridge_beta=1e-6, washout=3, seed=8,
     )
-    a, w_in = build_reservoir(cfg)
+    a, w_in = build_reservoir(cfg, 3)
     data = Trajectory(0.05, rng.uniform(-1, 1, size=(20, 3)))
 
     # independent replay of the drive to collect the design matrix

@@ -5,19 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from chaoscontrol import (
     EsnConfig,
     NgrcConfig,
     load_model,
+    ngrc,
     save_model,
 )
 from chaoscontrol.cli import main as cli_main
 from chaoscontrol.control import free_run
-from chaoscontrol.errors import ConfigError
+from chaoscontrol.errors import ConfigError, DivergenceError
 from chaoscontrol.esn import train as esn_train
 from chaoscontrol.experiments import PREDICTOR_KINDS, ExperimentConfig, SweepSpec
 from chaoscontrol.modelio import FORMAT_MAGIC, field_parsers, format_fields
+from chaoscontrol.ngrc import build_library
 from chaoscontrol.ngrc import train as ngrc_train
 
 
@@ -51,26 +54,53 @@ def test_esn_prediction_resumes_identically(tmp_path, trained_esn):
         assert np.array_equal(a.step(), b.step())
 
 
-def test_file_with_last_sample_still_loads(tmp_path, train_run_short, trained_esn):
-    # earlier writers declared a last_sample array after r and appended the
-    # last training sample to the payload; the loader skips it
-    path = tmp_path / "esn.ccm"
-    save_model(path, trained_esn)
+def _as_v1(raw: bytes, model, last_sample) -> bytes:
+    """``raw`` rewritten into the v1 layout of earlier writers.
+
+    v1 adds the input width after the config lines and, for ngrc, the
+    monomial table as variable-index tuples; the earliest classic writers
+    also appended the last training sample as a ``last_sample`` array.
+    """
+    header, payload = raw.split(b"\narrays=", 1)
+    header = header.replace(FORMAT_MAGIC.encode(), b"#chaoscontrol-model v1", 1)
+    header += b"\ninput_dim=3"
+    if isinstance(model, ngrc.NgrcModel):
+        table = build_library(3, model.config.orders).monomials
+        header += b"\nmonomials=" + ";".join(",".join(map(str, m)) for m in table).encode()
+    else:
+        payload = payload.replace(b",r:40\n", b",r:40,last_sample:3\n", 1)
+        payload += last_sample.astype("<f8").tobytes()
+    return header + b"\narrays=" + payload
+
+
+def _arrays(model) -> dict:
+    values = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "config"}
+    return {name: v.toarray() if sparse.issparse(v) else v for name, v in values.items()}
+
+
+def _free_run_outcome(model):
+    """500 free-run samples, or the (phase, step) of the divergence that ends them."""
+    try:
+        return free_run(model.stepper(), 500, 0.05).samples
+    except DivergenceError as exc:
+        return exc.phase, exc.step
+
+
+@pytest.mark.parametrize("model", ["trained_esn", "trained_ngrc"], ids=["classic", "ngrc"])
+def test_v1_file_still_loads(tmp_path, request, train_run_short, model):
+    model = request.getfixturevalue(model)
+    path = tmp_path / "model.ccm"
+    save_model(path, model)
     raw = path.read_bytes()
-    assert b",r:40\n#payload\n" in raw
-    old = raw.replace(b",r:40\n", b",r:40,last_sample:3\n", 1)
-    old += train_run_short.samples[-1].astype("<f8").tobytes()
-    assert len(old) == len(raw) + 38
+    old = _as_v1(raw, model, train_run_short.samples[-1])
+    assert old.startswith(b"#chaoscontrol-model v1\n") and b"\ninput_dim=3\n" in old
     path.write_bytes(old)
     loaded = load_model(path)
-    assert loaded.config == trained_esn.config
-    for name in ("W_in", "P", "r"):
-        assert np.array_equal(getattr(loaded, name), getattr(trained_esn, name))
-    assert np.array_equal(loaded.A.toarray(), trained_esn.A.toarray())
-    assert np.array_equal(
-        free_run(loaded.stepper(), 500, 0.05).samples,
-        free_run(trained_esn.stepper(), 500, 0.05).samples,
-    )
+    assert loaded.config == model.config
+    want, got = _arrays(model), _arrays(loaded)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+    np.testing.assert_equal(_free_run_outcome(loaded), _free_run_outcome(model))
 
 
 def test_ngrc_round_trip_bit_exact(tmp_path, trained_ngrc):
@@ -78,19 +108,27 @@ def test_ngrc_round_trip_bit_exact(tmp_path, trained_ngrc):
     save_model(path, trained_ngrc)
     loaded = load_model(path)
     assert loaded.config == trained_ngrc.config
-    assert loaded.library == trained_ngrc.library
     assert np.array_equal(loaded.W_out, trained_ngrc.W_out)
     assert np.array_equal(loaded.tap_buffer, trained_ngrc.tap_buffer)
 
 
-def test_header_is_text_and_versioned(tmp_path, trained_ngrc):
-    path = tmp_path / "ngrc.ccm"
-    save_model(path, trained_ngrc)
-    raw = path.read_bytes()
-    header = raw.split(b"#payload\n", 1)[0].decode()
-    assert header.splitlines()[0] == FORMAT_MAGIC
-    assert "monomials=" in header
-    assert "arrays=W_out:3x34,tap_buffer:1x3" in header
+@pytest.mark.parametrize(
+    "model, arrays",
+    [
+        ("trained_esn", "A:40x40,W_in:40x3,P:3x80,r:40"),
+        ("trained_ngrc", "W_out:3x34,tap_buffer:1x3"),
+    ],
+    ids=["classic", "ngrc"],
+)
+def test_header_is_text_and_versioned(tmp_path, request, model, arrays):
+    # nothing the loader can derive: no input width, no monomial table
+    model = request.getfixturevalue(model)
+    path = tmp_path / "model.ccm"
+    save_model(path, model)
+    header = path.read_bytes().split(b"#payload\n", 1)[0].decode()
+    config = [f"{name}={text}" for name, text in format_fields(model.config).items()]
+    kind = "ngrc" if isinstance(model, ngrc.NgrcModel) else "classic"
+    assert header.splitlines() == [FORMAT_MAGIC, f"kind={kind}", *config, f"arrays={arrays}"]
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -121,18 +159,39 @@ def test_truncated_payload_rejected(tmp_path, trained_esn):
         ("trained_esn", b",W_in:40x3,", b",W_in:120x1,"),
         ("trained_ngrc", b",tap_buffer:1x3", b",tap_buffer:3x1"),
         ("trained_esn", b"washout=100\n", b"washout=100\nwashout=100\n"),
+        # the monomial count and the tap buffer reject these before a
+        # library of about 8e6 or 3e12 monomials is built
+        ("trained_ngrc", b"\norders=1,2,3,4\n", b"\norders=1,2,3,4000\n"),
+        ("trained_ngrc", b"\nk=1\n", b"\nk=999\n"),
     ],
     ids=[
         "malformed-value", "non-utf8-header", "readout-shape", "state-shape",
-        "input-map-shape", "tap-buffer-shape", "repeated-key",
+        "input-map-shape", "tap-buffer-shape", "repeated-key", "huge-order", "huge-k",
     ],
 )
-def test_malformed_header_is_config_error(tmp_path, capsys, request, model, old, new):
+def test_malformed_header_is_config_error(
+    tmp_path, capsys, monkeypatch, request, model, old, new
+):
     path = tmp_path / "model.ccm"
     save_model(path, request.getfixturevalue(model))
     raw = path.read_bytes()
     assert old in raw
     path.write_bytes(raw.replace(old, new, 1))
+
+    def no_library(*args):
+        raise AssertionError(f"a rejected header built a monomial library {args}")
+
+    monkeypatch.setattr(ngrc, "build_library", no_library)
+    _assert_config_error(path, tmp_path, capsys)
+
+
+def test_empty_arrays_are_config_error(tmp_path, capsys, trained_ngrc):
+    # zero-width taps and readout agree with each other, but leave no
+    # variables to predict
+    path = tmp_path / "model.ccm"
+    save_model(path, trained_ngrc)
+    header = path.read_bytes().split(b"arrays=", 1)[0]
+    path.write_bytes(header + b"arrays=W_out:0x0,tap_buffer:1x0\n#payload\n")
     _assert_config_error(path, tmp_path, capsys)
 
 

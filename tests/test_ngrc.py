@@ -151,8 +151,8 @@ def test_constant_series_gives_zero_targets():
     _, targets = build_design(traj, cfg)
     np.testing.assert_array_equal(targets, np.zeros_like(targets))
     model = train(traj, cfg)
-    increments = model.W_out @ poly_features(traj.samples[-1], model.library)
-    np.testing.assert_allclose(increments, np.zeros(3), atol=1e-8)
+    features = poly_features(traj.samples[-1], build_library(3, cfg.orders))
+    np.testing.assert_allclose(model.W_out @ features, np.zeros(3), atol=1e-8)
 
 
 # ------------------------------------------------------------------ train
@@ -246,7 +246,6 @@ def test_zero_readout_continues_last_sample():
     model = train(traj, cfg)
     frozen = NgrcModel(
         config=cfg,
-        library=model.library,
         W_out=np.zeros_like(model.W_out),
         tap_buffer=model.tap_buffer.copy(),
     )
@@ -264,7 +263,6 @@ def test_seed_history_taps(train_run_short):
     assert len(free_run(model.stepper(), 3, 0.05)) == 3
     short = NgrcModel(
         config=cfg,
-        library=model.library,
         W_out=model.W_out,
         tap_buffer=model.tap_buffer[-2:].copy(),
     )
@@ -287,7 +285,8 @@ def test_divergence_check_on_first_step(train_run_short, readout):
     elif readout == "inf":
         # inf times the positive x^2 feature, zero elsewhere: v[0] = inf
         model.W_out = np.zeros_like(model.W_out)
-        model.W_out[0, model.library.monomials.index((0, 0))] = np.inf
+        x_squared = build_library(3, model.config.orders).monomials.index((0, 0))
+        model.W_out[0, x_squared] = np.inf
     else:
         # a zero readout adds nothing: v is the newest tap, (x0, 0, 0)
         model.W_out = np.zeros_like(model.W_out)
