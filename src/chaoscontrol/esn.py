@@ -140,13 +140,14 @@ def _reservoir_update(a: sparse.csr_matrix, w_in: np.ndarray, r: np.ndarray, u,
 
     Bit-identical to ``np.tanh(a @ r + w_in @ u)``: ``csr_matvec`` adds each
     row's products into a zeroed buffer exactly as scipy's ``@`` does, and
-    the input product is added after it, as there.  ``_check_square(a, r)``
-    must hold.
+    the input product is added after it, as there; ``w_in.dot(u)`` is the
+    same BLAS product as ``w_in @ u`` with less dispatch.
+    ``_check_square(a, r)`` must hold.
     """
     n = len(r)
     pre = np.zeros(n)
     csr_matvec(n, n, a.indptr, a.indices, a.data, r, pre)
-    pre += w_in @ u
+    pre += w_in.dot(u)
     return np.tanh(pre, out=out)
 
 
@@ -234,7 +235,8 @@ class _EsnStepper:
 
     def step(self) -> list:
         """Emit v = P {r, r^2} as Python floats; feed v back as the next input."""
-        v = self._P @ self._aug
+        # ``dot`` is the same BLAS product as ``@`` with less dispatch
+        v = self._P.dot(self._aug)
         self._step += 1
         floats = check_prediction(v, self._step)
         _reservoir_update(self._A, self._W_in, self._r, v, out=self._r)

@@ -15,11 +15,16 @@ condition, 1 = reservoir sampling).  Two runs with the same master seed
 therefore produce identical results cell by cell, independent of worker
 scheduling; output rows are sorted by (kind, N, seed) before writing.
 
-CSV schemas: trajectory files ``t,x,y,z``; sweep file
-``kind,N,seed,lambda_max,corr_dim,status``; summary file
-``kind,N,lambda_mean,lambda_std,nu_mean,nu_std,n_ok``.  A timestamped
-header comment is written unless suppressed, which is the one permitted
-byte difference between reruns.
+CSV schemas: trajectory files ``t,x,y,z`` (the training snapshot adds
+``phase``); sweep file ``kind,N,seed,lambda_max,corr_dim,status``;
+summary file ``kind,N,lambda_mean,lambda_std,nu_mean,nu_std,n_ok``.  A
+timestamped header comment is written unless suppressed, which is the
+one permitted byte difference between reruns.  Trajectory files go
+through one block encoder (``_encode_rows``), a ``%r`` format per block
+of ``CSV_BLOCK`` rows, so their memory does not grow with their length;
+``write_csv`` writes the small mixed-type tables (sweep, summary, metrics
+diagnostics, climate summary) through ``csv``.  Both give ``csv``'s
+bytes: CRLF rows and each float as its ``repr``.
 """
 
 from __future__ import annotations
@@ -96,6 +101,8 @@ MAX_STEPS = 100_000_000
 _KIND_IDS = {"classic": 0, "ngrc": 1, "ref_train": 2, "ref_plant": 3}
 _STREAM_TRAJECTORY = 0
 _STREAM_RESERVOIR = 1
+# rows per block of the trajectory CSV encoder (see ``_encode_rows``)
+CSV_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------
@@ -560,38 +567,54 @@ def _write_sweep_charts(out_dir, spec: SweepSpec, summary) -> None:
 # CSV output
 
 
-def _header_lines(timestamp: bool) -> list:
-    if not timestamp:
-        return []
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return [f"# generated {stamp}"]
+def _write_stamp(fh, timestamp: bool) -> None:
+    if timestamp:
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        fh.write(f"# generated {stamp}\n")
 
 
 def write_csv(path, header: Sequence, rows, timestamp: bool) -> None:
     """Write one header row and the data rows, after the optional stamp.
 
-    Pass floats as Python floats (``ndarray.tolist()``): ``csv`` writes
-    those as their repr, which round-trips exactly.  Rows end in CRLF, the
-    ``csv`` default; the stamp comment line ends in LF.
+    For the small mixed-type tables: sweep, summary, metrics diagnostics
+    and climate summary.  Trajectories go through the block encoder of
+    ``write_trajectory_csv``.  Pass floats as Python floats
+    (``ndarray.tolist()``): ``csv`` writes those as their repr, which
+    round-trips exactly.  Rows end in CRLF, the ``csv`` default; the stamp
+    comment line ends in LF.
     """
     with open(path, "w", newline="") as fh:
-        for line in _header_lines(timestamp):
-            fh.write(line + "\n")
+        _write_stamp(fh, timestamp)
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _timed_rows(traj: Trajectory) -> list:
-    """[t, *sample] per sample, as Python floats."""
-    return np.column_stack([traj.times, traj.samples]).tolist()
+def _encode_rows(fh, traj: Trajectory, start: int, stop: int, row_end: str = "\r\n") -> None:
+    """Write samples start..stop-1 of a 3-D ``traj`` as t,x,y,z text rows.
+
+    Each block of ``CSV_BLOCK`` rows is stacked with its times, taken to
+    Python floats and rendered by one ``%r`` format: the bytes ``csv``
+    writes for the same floats, since ``str`` of a float is its ``repr``.
+    Times are ``dt * i`` as in ``Trajectory.times``, formed per block, so
+    memory stays bounded by one block.  ``row_end`` closes every row; it
+    carries any constant trailing column and must hold no ``%``.
+    """
+    row = "%r,%r,%r,%r" + row_end
+    for first in range(start, stop, CSV_BLOCK):
+        last = min(first + CSV_BLOCK, stop)
+        block = np.column_stack([traj.dt * np.arange(first, last), traj.samples[first:last]])
+        fh.write((row * (last - first)) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(path, traj: Trajectory, timestamp: bool = True) -> None:
     """Write a trajectory as t,x,y,z rows (repr-exact floats)."""
     if traj.dim != 3:
         raise ValueError("trajectory CSV schema is fixed at three components")
-    write_csv(path, ["t", "x", "y", "z"], _timed_rows(traj), timestamp)
+    with open(path, "w", newline="") as fh:
+        _write_stamp(fh, timestamp)
+        fh.write("t,x,y,z\r\n")
+        _encode_rows(fh, traj, 0, len(traj))
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow], timestamp: bool = True) -> None:
@@ -629,10 +652,12 @@ def export_training_snapshot(
         discard_phase = "warmup"
 
     csv_path = os.path.join(out_dir, "training_snapshot.csv")
-    rows = _timed_rows(training)
-    for i, row in enumerate(rows):
-        row.append(discard_phase if i < boundary else "train")
-    write_csv(csv_path, ["t", "x", "y", "z", "phase"], rows, timestamp)
+    cut = min(boundary, len(training))
+    with open(csv_path, "w", newline="") as fh:
+        _write_stamp(fh, timestamp)
+        fh.write("t,x,y,z,phase\r\n")
+        _encode_rows(fh, training, 0, cut, f",{discard_phase}\r\n")
+        _encode_rows(fh, training, cut, len(training), ",train\r\n")
 
     times = training.times
     line_chart(

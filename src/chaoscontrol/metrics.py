@@ -331,7 +331,11 @@ def theiler_neighbours(points: np.ndarray, window: int) -> tuple[np.ndarray, np.
     attractor series the hit is almost always among the first few, so
     every row is queried for a handful of neighbours first and only the
     rows without a hit are queried again at full depth.  The selected
-    neighbour is the same as for a single full-depth query.
+    neighbour is at the same distance as a single full-depth query's, but
+    its index is defined only up to ties: where several valid points sit
+    at that distance (as on a series that repeats exactly), which one is
+    returned follows cKDTree's tie order, which may differ between the
+    two query depths.
     """
     m = points.shape[0]
     rows = np.arange(m)

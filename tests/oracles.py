@@ -4,13 +4,16 @@ Each oracle recomputes a quantity the package derives, through a
 different algorithm (explicit normal equations, tangent-space exponent
 integration, exhaustive enumeration, the SVD of the whole design), so
 agreement is evidence rather than tautology.  The generic RK4 step, the
-reservoir loops and the per-offset divergence curve are the exception:
-they are the textbook arithmetic that the package's fused or buffered
-loops must reproduce bit for bit.
+reservoir loops, the per-offset divergence curve and the row-by-row CSV
+writer are the exception: they are the textbook arithmetic or encoding
+that the package's fused, buffered or block loops must reproduce bit for
+bit.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -282,3 +285,17 @@ def mean_log_divergence(points, ref, nb, follow_steps: int) -> np.ndarray:
         nz = d > 0
         mean_log[kk] = np.log(d[nz]).mean() if nz.any() else -np.inf
     return mean_log
+
+
+def timed_csv_bytes(traj, header, phases=None) -> bytes:
+    """A trajectory file's rows as ``csv.writer`` writes them, one at a time.
+
+    Row i is ``dt * i`` and the sample's components as Python floats, plus
+    ``phases[i]`` when given, after ``header``; rows end in CRLF.
+    """
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i, sample in enumerate(traj.samples.tolist()):
+        writer.writerow([traj.dt * i, *sample] + ([phases[i]] if phases else []))
+    return buf.getvalue().encode()

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chaoscontrol import climate_stats, experiments, simulate
+from chaoscontrol import Trajectory, climate_stats, experiments, simulate
 from chaoscontrol.errors import ConfigError
 from chaoscontrol.experiments import (
+    CSV_BLOCK,
     MAX_STEPS,
     ExperimentConfig,
     SweepRow,
@@ -23,6 +25,7 @@ from chaoscontrol.experiments import (
 )
 
 from conftest import summary_for
+from oracles import timed_csv_bytes
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +307,68 @@ def test_timestamp_header_toggle(tmp_path, train_run_short):
     assert without.read_text().startswith("t,x,y,z")
     # identical apart from the header comment
     assert with_stamp.read_text().splitlines()[1:] == without.read_text().splitlines()
+
+
+# finite floats whose repr is easy to get wrong: signed zero, the smallest
+# subnormal and normal, the largest magnitudes, and inexact sums and ratios
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1 + 0.2, 1 / 3, 2.0]
+
+
+def _edge_trajectory(rows: int) -> Trajectory:
+    rng = np.random.default_rng(rows)
+    samples = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    flat = samples.reshape(-1)
+    flat[: len(EDGE_FLOATS)] = EDGE_FLOATS[: flat.size]
+    return Trajectory(1 / 3, samples)
+
+
+def _stripped_stamp(data: bytes, timestamp: bool) -> bytes:
+    if not timestamp:
+        return data
+    stamp, rest = data.split(b"\n", 1)
+    assert stamp.startswith(b"# generated ") and not stamp.endswith(b"\r")
+    return rest
+
+
+@pytest.mark.parametrize("timestamp", [False, True], ids=["no-stamp", "stamp"])
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, rows, timestamp):
+    traj = _edge_trajectory(rows)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, timestamp=timestamp)
+    got = _stripped_stamp(path.read_bytes(), timestamp)
+    assert got == timed_csv_bytes(traj, ["t", "x", "y", "z"])
+
+
+@pytest.mark.parametrize("timestamp", [False, True], ids=["no-stamp", "stamp"])
+def test_snapshot_csv_matches_csv_writer_oracle(tmp_path, timestamp):
+    # the washout ends inside the first block and the rows span two blocks
+    cfg = ExperimentConfig(kind="classic", training_steps=5000)
+    csv_path = export_training_snapshot(cfg, str(tmp_path), timestamp=timestamp)
+    training, washout = attractor_series(cfg, "classic", 5000, 0, 4999), cfg.washout_for(5000)
+    phases = ["washout"] * washout + ["train"] * (5000 - washout)
+    got = _stripped_stamp(open(csv_path, "rb").read(), timestamp)
+    assert got == timed_csv_bytes(training, ["t", "x", "y", "z", "phase"], phases)
+
+
+# tracemalloc peak of writing a 100k-row trajectory, in units of one block
+# of CSV_BLOCK four-column float rows: the encoder reads about 8 (the
+# block, its Python floats, the format and its text); a writer that makes
+# every row a Python list before writing reads 171
+WRITE_PEAK_PER_BLOCK = 10
+
+
+def test_trajectory_write_peak_memory_pinned(tmp_path):
+    traj = Trajectory(0.05, np.random.default_rng(0).standard_normal((100_000, 3)) * 30)
+    block_bytes = CSV_BLOCK * 4 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(tmp_path / "t.csv", traj, timestamp=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lower bound shows that numpy's buffers are traced at all
+    assert block_bytes <= peak <= WRITE_PEAK_PER_BLOCK * block_bytes
 
 
 def test_snapshot_phases_and_time_axis(tmp_path):

@@ -336,6 +336,25 @@ def test_theiler_neighbours_match_brute_force_oracle(series, deep):
     np.testing.assert_array_equal(neighbour, expected)
 
 
+def test_theiler_neighbours_tie_order_known_limit():
+    # Known limit: on a series that repeats exactly, every row has many
+    # valid partners at distance zero, and which one the search returns
+    # follows cKDTree's tie order; here it differs from the oracle's
+    # smallest index on most rows.  Only the distance is pinned: the index,
+    # so the followed pairs and lambda of a collapsed series, may differ
+    # from those of a single full-depth query.
+    cycle = attractor_trajectory(PLANT_PARAMS, 6, seed=4).samples
+    points = np.tile(cycle, (86, 1))[:600]
+    neighbour, has_valid = theiler_neighbours(points, THEILER_WINDOW)
+    expected, _, expected_valid = theiler_nearest_neighbours(points, THEILER_WINDOW)
+    np.testing.assert_array_equal(has_valid, expected_valid)
+    assert np.all(np.abs(neighbour - np.arange(len(points))) > THEILER_WINDOW)
+    np.testing.assert_array_equal(
+        np.linalg.norm(points - points[neighbour], axis=1),
+        np.linalg.norm(points - points[expected], axis=1),
+    )
+
+
 def test_rows_without_valid_neighbour_lower_valid_fraction():
     # 80 trackable rows with a 50-step window: rows 29..50 have no partner
     traj = attractor_trajectory(PLANT_PARAMS, 139, seed=3)
