@@ -13,8 +13,6 @@ single-run mode.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +20,6 @@ from dataclasses import replace
 import numpy as np
 
 from .control import free_run
-from .dynamics import Trajectory
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -41,6 +38,7 @@ from .experiments import (
     export_training_snapshot,
     load_config_file,
     prepare_trained_model,
+    read_trajectory_csv,
     run_single,
     run_sweep,
     write_csv,
@@ -116,42 +114,6 @@ def _load_setup(args) -> tuple:
     if getattr(args, "kind", None):
         cfg = replace(cfg, kind=args.kind)
     return cfg, spec
-
-
-def _read_trajectory_csv(path) -> Trajectory:
-    try:
-        with open(path, newline="") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-    times, rows = [], []
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:4]] != ["t", "x", "y", "z"]:
-        raise ConfigError(f"{path}: expected a t,x,y,z trajectory CSV")
-    for row in reader:
-        if not row:
-            continue
-        sample = len(rows) + 1
-        if len(row) < 4:
-            raise ConfigError(
-                f"{path}: sample {sample}: expected 4 values, got {len(row)}"
-            )
-        try:
-            values = [float(v) for v in row[:4]]
-        except ValueError:
-            raise ConfigError(f"{path}: sample {sample}: non-numeric value") from None
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{path}: sample {sample}: non-finite value")
-        times.append(values[0])
-        rows.append(values[1:])
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: need at least two samples")
-    dt = times[1] - times[0]
-    # lambda is a per-step slope over dt, so a wrong dt silently rescales it
-    if not dt > 0 or np.any(np.abs(np.diff(times) - dt) > 1e-6 * dt):
-        raise ConfigError(f"{path}: time column is not uniformly increasing")
-    return Trajectory(dt, np.asarray(rows))
 
 
 def _steps(args, cfg: ExperimentConfig, low: int) -> int:
@@ -232,7 +194,7 @@ def _cmd_control(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_metrics(args, cfg: ExperimentConfig) -> int:
-    traj = _read_trajectory_csv(args.input)
+    traj = read_trajectory_csv(args.input)
     stats = climate_stats(traj)
     print(f"lambda_max={stats.lambda_max:.6f}")
     print(f"corr_dim={stats.corr_dim:.6f}")

@@ -19,11 +19,7 @@ CSV schemas: trajectory files ``t,x,y,z`` (the training snapshot adds
 ``phase``); sweep file ``kind,N,seed,lambda_max,corr_dim,status``;
 summary file ``kind,N,lambda_mean,lambda_std,nu_mean,nu_std,n_ok``.  A
 timestamped header comment is written unless suppressed, which is the
-one permitted byte difference between reruns.  Trajectory files go
-through one block encoder (``_encode_rows``), a ``%r`` format per block
-of ``CSV_BLOCK`` rows, so their memory does not grow with their length;
-``write_csv`` writes the small mixed-type tables (sweep, summary, metrics
-diagnostics, climate summary) through ``csv``.  Both give ``csv``'s
+one permitted byte difference between reruns.  Every CSV has ``csv``'s
 bytes: CRLF rows and each float as its ``repr``.
 """
 
@@ -32,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
@@ -84,6 +81,7 @@ __all__ = [
     "summarize_rows",
     "write_csv",
     "write_trajectory_csv",
+    "read_trajectory_csv",
     "write_sweep_csv",
     "write_summary_csv",
     "load_config_file",
@@ -103,6 +101,7 @@ _STREAM_TRAJECTORY = 0
 _STREAM_RESERVOIR = 1
 # rows per block of the trajectory CSV encoder (see ``_encode_rows``)
 CSV_BLOCK = 4096
+TRAJECTORY_COLUMNS = ("t", "x", "y", "z")
 
 
 # --------------------------------------------------------------------------
@@ -215,10 +214,12 @@ class SweepSpec:
         lengths = tuple(self.training_lengths)
         if not lengths or any(n <= 0 for n in lengths):
             raise ConfigError("training_lengths must be positive")
-        if list(lengths) != sorted(lengths):
-            raise ConfigError("training_lengths must be ascending")
+        if any(a >= b for a, b in zip(lengths, lengths[1:])):
+            raise ConfigError("training_lengths must be strictly ascending")
         if not self.kinds or any(k not in PREDICTOR_KINDS for k in self.kinds):
             raise ConfigError(f"kinds must be drawn from {PREDICTOR_KINDS}")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError("kinds must not repeat")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be >= 1")
 
@@ -567,27 +568,25 @@ def _write_sweep_charts(out_dir, spec: SweepSpec, summary) -> None:
 # CSV output
 
 
-def _write_stamp(fh, timestamp: bool) -> None:
+def _write_head(fh, columns: Sequence, timestamp: bool) -> None:
+    """The optional stamp line, then the header row (names need no quoting)."""
     if timestamp:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         fh.write(f"# generated {stamp}\n")
+    fh.write(",".join(columns) + "\r\n")
 
 
 def write_csv(path, header: Sequence, rows, timestamp: bool) -> None:
     """Write one header row and the data rows, after the optional stamp.
 
     For the small mixed-type tables: sweep, summary, metrics diagnostics
-    and climate summary.  Trajectories go through the block encoder of
-    ``write_trajectory_csv``.  Pass floats as Python floats
-    (``ndarray.tolist()``): ``csv`` writes those as their repr, which
-    round-trips exactly.  Rows end in CRLF, the ``csv`` default; the stamp
-    comment line ends in LF.
+    and climate summary.  Pass floats as Python floats (``tolist()``):
+    ``csv`` writes those as their repr, which round-trips exactly.  Rows
+    end in CRLF, the ``csv`` default; the stamp line ends in LF.
     """
     with open(path, "w", newline="") as fh:
-        _write_stamp(fh, timestamp)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_head(fh, header, timestamp)
+        csv.writer(fh).writerows(rows)
 
 
 def _encode_rows(fh, traj: Trajectory, start: int, stop: int, row_end: str = "\r\n") -> None:
@@ -612,9 +611,49 @@ def write_trajectory_csv(path, traj: Trajectory, timestamp: bool = True) -> None
     if traj.dim != 3:
         raise ValueError("trajectory CSV schema is fixed at three components")
     with open(path, "w", newline="") as fh:
-        _write_stamp(fh, timestamp)
-        fh.write("t,x,y,z\r\n")
+        _write_head(fh, TRAJECTORY_COLUMNS, timestamp)
         _encode_rows(fh, traj, 0, len(traj))
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    """Read the t,x,y,z columns of a trajectory CSV, after any ``#`` lines.
+
+    Blank rows and further columns (the snapshot's ``phase``) are ignored.
+    Rows are checked as they are read into one flat float buffer (about 32
+    bytes a row beyond the series), so in a file with two faults the first
+    one met is reported, and a non-UTF-8 byte surfaces when its block is
+    decoded.  Faults raise ConfigError; sample N is the Nth non-empty row.
+    """
+    flat = array("d")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            if tuple(h.strip() for h in next(reader, ())[:4]) != TRAJECTORY_COLUMNS:
+                raise ConfigError(
+                    f"{path}: expected a {','.join(TRAJECTORY_COLUMNS)} trajectory CSV"
+                )
+            for sample, row in enumerate(filter(None, reader), 1):
+                if len(row) < 4:
+                    raise ConfigError(
+                        f"{path}: sample {sample}: expected 4 values, got {len(row)}"
+                    )
+                try:
+                    values = float(row[0]), float(row[1]), float(row[2]), float(row[3])
+                except ValueError:
+                    raise ConfigError(f"{path}: sample {sample}: non-numeric value") from None
+                if not all(map(math.isfinite, values)):
+                    raise ConfigError(f"{path}: sample {sample}: non-finite value")
+                flat.extend(values)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    data = np.frombuffer(flat).reshape(-1, 4)
+    if len(data) < 2:
+        raise ConfigError(f"{path}: need at least two samples")
+    dt = float(data[1, 0] - data[0, 0])
+    # lambda is a per-step slope over dt, so a wrong dt silently rescales it
+    if not dt > 0 or np.any(np.abs(np.diff(data[:, 0]) - dt) > 1e-6 * dt):
+        raise ConfigError(f"{path}: time column is not uniformly increasing")
+    return Trajectory(dt, data[:, 1:])
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow], timestamp: bool = True) -> None:
@@ -654,8 +693,7 @@ def export_training_snapshot(
     csv_path = os.path.join(out_dir, "training_snapshot.csv")
     cut = min(boundary, len(training))
     with open(csv_path, "w", newline="") as fh:
-        _write_stamp(fh, timestamp)
-        fh.write("t,x,y,z,phase\r\n")
+        _write_head(fh, TRAJECTORY_COLUMNS + ("phase",), timestamp)
         _encode_rows(fh, training, 0, cut, f",{discard_phase}\r\n")
         _encode_rows(fh, training, cut, len(training), ",train\r\n")
 

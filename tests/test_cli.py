@@ -249,12 +249,19 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, messag
             b"training_steps = 500\n# shorter\ntraining_steps = 400\n",
             "bad.cfg:3", "key 'training_steps' already set on line 1",
         ),
+        # a repeated sweep length or kind would run each of its cells twice
+        (
+            b"sweep_lengths = 400 400\n", "training_lengths",
+            "training_lengths must be strictly ascending",
+        ),
+        (b"sweep_kinds = classic classic\n", "kinds", "kinds must not repeat"),
     ],
     ids=[
         "negative-seed", "zero-substeps", "nan-rho", "zero-order",
         "huge-training-steps", "nan-gain", "non-utf8", "nan-esn-beta",
         "nan-ngrc-beta", "nan-input-scale", "nan-spectral-radius",
         "inf-spectral-radius", "negative-transient", "repeated-key",
+        "repeated-length", "repeated-kind",
     ],
 )
 def test_bad_config_exits_2_with_one_line(

@@ -18,6 +18,7 @@ from chaoscontrol.experiments import (
     export_training_snapshot,
     load_config_file,
     prepare_trained_model,
+    read_trajectory_csv,
     run_single,
     run_sweep,
     summarize_rows,
@@ -60,6 +61,11 @@ def test_config_validation():
         SweepSpec(training_lengths=(500, 250))
     with pytest.raises(ConfigError):
         SweepSpec(kinds=("classic", "other"))
+    # a repeated length or kind would run each of its cells twice
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        SweepSpec(training_lengths=(400, 400))
+    with pytest.raises(ConfigError, match="must not repeat"):
+        SweepSpec(kinds=("classic", "classic"))
     with pytest.raises(ConfigError):
         SweepSpec(n_realizations=0)
 
@@ -331,13 +337,20 @@ def _stripped_stamp(data: bytes, timestamp: bool) -> bytes:
 
 
 @pytest.mark.parametrize("timestamp", [False, True], ids=["no-stamp", "stamp"])
-@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("rows", [0, 1, 2, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
 def test_trajectory_csv_matches_csv_writer_oracle(tmp_path, rows, timestamp):
     traj = _edge_trajectory(rows)
     path = tmp_path / "t.csv"
     write_trajectory_csv(path, traj, timestamp=timestamp)
     got = _stripped_stamp(path.read_bytes(), timestamp)
     assert got == timed_csv_bytes(traj, ["t", "x", "y", "z"])
+    if rows < 2:
+        with pytest.raises(ConfigError, match="need at least two samples"):
+            read_trajectory_csv(path)
+    else:
+        # read back bitwise: bytes, not ==, so that -0.0 must stay -0.0
+        back = read_trajectory_csv(path)
+        assert back.samples.tobytes() == traj.samples.tobytes() and back.dt == traj.dt
 
 
 @pytest.mark.parametrize("timestamp", [False, True], ids=["no-stamp", "stamp"])
@@ -349,6 +362,9 @@ def test_snapshot_csv_matches_csv_writer_oracle(tmp_path, timestamp):
     phases = ["washout"] * washout + ["train"] * (5000 - washout)
     got = _stripped_stamp(open(csv_path, "rb").read(), timestamp)
     assert got == timed_csv_bytes(training, ["t", "x", "y", "z", "phase"], phases)
+    # the reader skips the stamp and ignores the phase column
+    back = read_trajectory_csv(csv_path)
+    assert back.samples.tobytes() == training.samples.tobytes() and back.dt == cfg.dt
 
 
 # tracemalloc peak of writing a 100k-row trajectory, in units of one block
@@ -369,6 +385,28 @@ def test_trajectory_write_peak_memory_pinned(tmp_path):
         tracemalloc.stop()
     # the lower bound shows that numpy's buffers are traced at all
     assert block_bytes <= peak <= WRITE_PEAK_PER_BLOCK * block_bytes
+
+
+# tracemalloc peak of reading a 100k-row trajectory, in bytes a row: the
+# flat float buffer (32 and its growth margin) and the series copy (24); a
+# reader that holds every line and a Python list per row reads about 356
+READ_PEAK_PER_ROW = 100
+
+
+def test_trajectory_read_peak_memory_pinned(tmp_path):
+    rows = 100_000
+    traj = Trajectory(0.05, np.random.default_rng(0).standard_normal((rows, 3)) * 30)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, timestamp=False)
+    tracemalloc.start()
+    try:
+        back = read_trajectory_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.samples.tobytes() == traj.samples.tobytes()
+    # the lower bound shows that numpy's buffers are traced at all
+    assert traj.samples.nbytes <= peak <= READ_PEAK_PER_ROW * rows
 
 
 def test_snapshot_phases_and_time_axis(tmp_path):

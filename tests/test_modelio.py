@@ -230,8 +230,9 @@ _FIELD_VALUES = {
     Optional[int]: st.none() | st.integers(0, 10**6),
     tuple[int, ...]: st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True)
     .map(sorted).map(tuple),
-    tuple[str, ...]: st.lists(st.sampled_from(PREDICTOR_KINDS), min_size=1, max_size=3)
-    .map(tuple),
+    tuple[str, ...]: st.lists(
+        st.sampled_from(PREDICTOR_KINDS), min_size=1, max_size=len(PREDICTOR_KINDS), unique=True
+    ).map(tuple),
 }
 
 

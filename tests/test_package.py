@@ -69,3 +69,20 @@ def test_exported_configs_are_set_in_the_package(name):
     built = _classes_built_with_arguments()
     unset = [attr for attr in configs if attr not in built]
     assert not unset, f"chaoscontrol.{name} exports configs built only with defaults: {unset}"
+
+
+def test_only_experiments_imports_csv():
+    # trajectory files are written and read in experiments.py alone, so
+    # their row format cannot drift apart in two modules
+    importers = set()
+    for path in Path(chaoscontrol.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.add(path.name)
+    assert importers == {"experiments.py"}
