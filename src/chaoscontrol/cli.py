@@ -5,9 +5,9 @@ Subcommands cover the full pipeline: ``simulate`` raw trajectories,
 closed-loop experiment, ``metrics`` on any trajectory CSV, ``sweep`` the
 data-efficiency grid, and ``snapshot`` of the exact training series.
 
-Exit codes: 0 success, 2 configuration/usage error or a predictor that
-cannot be fitted, 3 numerical divergence or a failed integration in a
-single-run mode.
+Exit codes: 0 success, 2 configuration/usage error, a predictor that
+cannot be fitted or an array too large to allocate, 3 numerical divergence
+or a failed integration in a single-run mode.
 """
 
 from __future__ import annotations
@@ -269,6 +269,10 @@ def main(argv=None) -> int:
         return 2
     except (ReservoirSamplingError, IllConditionedError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an array the host cannot hold before filling any of it
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(

@@ -646,6 +646,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 flat.extend(values)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: malformed CSV ({exc})") from None
     data = np.frombuffer(flat).reshape(-1, 4)
     if len(data) < 2:
         raise ConfigError(f"{path}: need at least two samples")

@@ -16,9 +16,11 @@ With X = Q R, the SVD of the small factor R = U_R diag(s) V^T is the SVD of
 X with U = Q U_R, so the readout ``V diag(s/(s^2 + beta)) U^T Y`` only
 needs Q^T Y.  ``scipy.linalg.qr_multiply`` applies the reflectors to Y
 without ever forming Q, and neither Q nor U (as tall as the design) is
-built.  Directions below the ``RIDGE_RCOND`` numerical-rank cutoff are
-excluded.  No column scaling is applied; ``beta`` acts on the raw feature
-scale.
+built.  R is factored by scipy's gesdd, which returns the arrays it fills;
+numpy's SVD fills private ones and copies them out, about 5 MB more at
+the peak of a 600-feature fit.  Directions below the ``RIDGE_RCOND``
+numerical-rank cutoff are excluded.  No column scaling is applied;
+``beta`` acts on the raw feature scale.
 
 LAPACK factors a column-major array in place.  The design is the largest
 array of a fit, so it is never copied more than once: a caller that owns
@@ -28,7 +30,9 @@ is copied once into column-major order.  Either way the factored buffer
 is released before the SVD, so a caller that keeps no reference of its
 own has it freed before the SVD's workspace is allocated.  The layout
 does not change the arithmetic: C- and F-order inputs give the same
-readout bit for bit.
+readout bit for bit.  The layout of the SVD factors does change it:
+gesdd returns them column-major, on which the readout products take
+another BLAS path, so they are copied to row-major order first.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import qr_multiply
+from scipy.linalg import qr_multiply, svd
 
 from .errors import IllConditionedError
 
@@ -93,11 +97,19 @@ def ridge_fit(
         # reflectors overwrite x, which is dropped before the SVD
         yt_q, r = qr_multiply(x, y.T, mode="right", overwrite_a=True)
         del design, x
-        u_r, s, vt = np.linalg.svd(r, full_matrices=False)
+        if not np.isfinite(r).all():
+            # a finite design whose column norms overflow: an inf in R has
+            # no meaningful SVD, and scipy's raises ValueError on a NaN
+            raise np.linalg.LinAlgError("non-finite R")
+        u_r, s, vt = svd(r, full_matrices=False, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"QR or SVD of the design matrix failed (beta={beta:g})"
         ) from exc
+    # row-major factors, as numpy's SVD returns them: the products below give
+    # numpy's readout bit for bit only from this layout
+    del r
+    u_r, vt = np.ascontiguousarray(u_r), np.ascontiguousarray(vt)
     # filter factors s/(s^2+beta) on the numerically significant directions;
     # beta=0 degenerates to the truncated pseudoinverse.  Overflow in s*s
     # is benign: an inf denominator zeroes the direction's factor.

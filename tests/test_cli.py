@@ -147,6 +147,16 @@ def test_metrics_rejects_non_utf8_csv(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
 
 
+def test_metrics_rejects_oversized_csv_field(tmp_path, capsys):
+    # csv's reader refuses a field over 131,072 characters
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x,y,z\n0.0,1.0,2.0,3.0\n0.05," + "1" * 200_000 + ",2.0,3.0\n")
+    assert run_cli("metrics", "--input", str(path), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and "field larger than field limit" in err
+
+
 def test_metrics_rejects_non_trajectory_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
@@ -284,8 +294,17 @@ def test_bad_config_exits_2_with_one_line(
         ("train", b"dt = 5\n", 3, "integration error: "),
         ("control", b"dt = 5\n", 3, "integration error: "),
         ("train", b"esn_edge_prob = 0\ntraining_steps = 300\n", 2, "training failed: "),
+        # a 5e8-unit reservoir asks numpy for 2e18 bytes, past any 64-bit
+        # address space, so the allocation fails before anything is written
+        (
+            "train", b"esn_reservoir_dim = 500000000\ntraining_steps = 300\n", 2,
+            "out of memory: Unable to allocate",
+        ),
     ],
-    ids=["huge-dt-simulate", "huge-dt-train", "huge-dt-control", "empty-reservoir-train"],
+    ids=[
+        "huge-dt-simulate", "huge-dt-train", "huge-dt-control", "empty-reservoir-train",
+        "huge-reservoir-train",
+    ],
 )
 def test_failed_run_exits_with_one_line(
     tmp_path, capsys, command, content, code, message

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaoscontrol.ridge
 from chaoscontrol import ridge_fit
 from chaoscontrol.errors import IllConditionedError
+from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
+from chaoscontrol.ngrc import build_design
 from chaoscontrol.ridge import RIDGE_RCOND
 
 from oracles import esn_harvest, ridge_normal_equations, ridge_svd
@@ -123,10 +126,18 @@ def test_empty_design_gives_zero_readout(rows, cols):
     assert not np.any(w)
 
 
+def test_overflowing_r_raises():
+    # finite columns whose norms overflow: R holds inf, which scipy's gesdd
+    # would factor into garbage (and a NaN it would reject with ValueError)
+    x = np.array([[1.7e308, 1.0], [1.7e308, 2.0], [1.0, 3.0]])
+    with pytest.raises(IllConditionedError, match="QR or SVD"):
+        ridge_fit(x, np.ones((3, 1)), 1e-4)
+
+
 def _fit_and_kept_rank(monkeypatch, x, y, beta):
     """``ridge_fit``'s readout and the rank it keeps, read off its SVD call."""
     seen = []
-    svd = np.linalg.svd
+    svd = chaoscontrol.ridge.svd
 
     def spy(*args, **kwargs):
         out = svd(*args, **kwargs)
@@ -134,7 +145,7 @@ def _fit_and_kept_rank(monkeypatch, x, y, beta):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", spy)
+        m.setattr(chaoscontrol.ridge, "svd", spy)
         w = ridge_fit(x, y, beta)
     (s,) = seen
     return w, int(np.count_nonzero(s >= RIDGE_RCOND * s[0]))
@@ -184,6 +195,32 @@ def test_readout_independent_of_design_layout(seed0_classic, n):
     assert np.array_equal(
         ridge_fit(np.asfortranarray(x), y, beta, overwrite_design=True), want
     )
+
+
+def _numpy_svd(a, full_matrices, **scipy_options):
+    """numpy's SVD, whose factors come back row-major, called as scipy's."""
+    return np.linalg.svd(a, full_matrices=full_matrices)
+
+
+@pytest.mark.parametrize("case", ["tall-3999x600", "wide-199x600", "ngrc-442x34"])
+def test_readout_matches_numpy_svd_bit_for_bit(monkeypatch, seed0_classic, case):
+    # scipy's gesdd gives numpy's factors bit for bit, but column-major, and
+    # the readout products take another BLAS path on that layout: without
+    # ridge_fit's row-major copies the wide and NG-RC readouts move in their
+    # last bits
+    if case.startswith("ngrc"):
+        cfg = ExperimentConfig(kind="ngrc", training_steps=500)
+        training, model = prepare_trained_model(cfg)
+        x, y = build_design(training, model.config)
+        beta = model.config.ridge_beta
+    else:
+        x, y, beta = _esn_problem(seed0_classic, 5000 if case.startswith("tall") else 250)
+    assert "x".join(map(str, x.shape)) == case.split("-")[1]
+    got = ridge_fit(x, y, beta)
+    with monkeypatch.context() as m:
+        m.setattr(chaoscontrol.ridge, "svd", _numpy_svd)
+        want = ridge_fit(x, y, beta)
+    assert np.array_equal(got, want)
 
 
 def _read_only_fortran(x):
