@@ -32,11 +32,11 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import ControlConfig, ControlRun, run_control
+from .control import ControlConfig, run_control
 from .dynamics import (
     IntegratorConfig,
     LorenzParams,
@@ -54,11 +54,11 @@ from .errors import (
     IntegrationError,
     ReservoirSamplingError,
 )
-from .esn import EsnConfig, EsnModel
+from .esn import EsnConfig
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
 from .modelio import field_parsers, parse_key_values
-from .ngrc import NgrcConfig, NgrcModel
+from .ngrc import NgrcConfig
 from .ngrc import train as ngrc_train
 from .svgplot import errorbar_chart, line_chart
 
@@ -313,26 +313,25 @@ def attractor_series(
     return simulate(u0, params, cfg.integrator(), n_steps)
 
 
-def _train_predictor(
-    cfg: ExperimentConfig, kind: str, n: int, realization: int, training: Trajectory
-) -> Union[EsnModel, NgrcModel]:
+def _fit_cell(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> tuple:
+    """(training, model) of one predictor cell: its N-sample series and fit."""
+    training = attractor_series(cfg, kind, n, realization, n - 1)
     if kind == "classic":
         seed = _derived_int(cfg.master_seed, kind, n, realization, _STREAM_RESERVOIR)
-        return esn_train(training, cfg.esn_config(seed=seed, n=n))
-    return ngrc_train(training, cfg.ngrc_config())
+        return training, esn_train(training, cfg.esn_config(seed=seed, n=n))
+    return training, ngrc_train(training, cfg.ngrc_config())
 
 
-def _controlled_run(
-    cfg: ExperimentConfig, kind: str, n: int, realization: int, training: Trajectory
-) -> ControlRun:
-    model = _train_predictor(cfg, kind, n, realization, training)
+def _control_cell(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> tuple:
+    """(training, ControlRun) of one predictor cell: fit, then steer the plant."""
+    training, model = _fit_cell(cfg, kind, n, realization)
     # the plant starts one interval past the training end, already under the
     # target-regime parameters, aligning u with the predictor's first output
     u0 = step_rk4(training.samples[-1], cfg.plant_params(), cfg.integrator())
     ctl = ControlConfig(
         plant_params=cfg.plant_params(), K=cfg.control_gain, n_steps=cfg.horizon
     )
-    return run_control(model.stepper(), u0, ctl, cfg.integrator())
+    return training, run_control(model.stepper(), u0, ctl, cfg.integrator())
 
 
 def prepare_trained_model(cfg: ExperimentConfig) -> tuple:
@@ -341,10 +340,7 @@ def prepare_trained_model(cfg: ExperimentConfig) -> tuple:
     Returns (training, model); the series is identical to the one
     realization 0 of a run_single/sweep cell with the same N trains on.
     """
-    n = cfg.training_steps
-    training = attractor_series(cfg, cfg.kind, n, 0, n - 1)
-    model = _train_predictor(cfg, cfg.kind, n, 0, training)
-    return training, model
+    return _fit_cell(cfg, cfg.kind, cfg.training_steps, 0)
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +377,7 @@ def run_single(cfg: ExperimentConfig, realization: int = 0) -> SingleRunReport:
     """
     integ = cfg.integrator()
     n = cfg.training_steps
-    training = attractor_series(cfg, cfg.kind, n, realization, n - 1)
-    run = _controlled_run(cfg, cfg.kind, n, realization, training)
+    training, run = _control_cell(cfg, cfg.kind, n, realization)
     reference = training
     if cfg.horizon > n - 1:
         tail = simulate(
@@ -444,8 +439,7 @@ def _run_cell(args) -> SweepRow:
         if kind in REFERENCE_KINDS:
             series = attractor_series(cfg, kind, n, realization, cfg.horizon)
         else:
-            training = attractor_series(cfg, kind, n, realization, n - 1)
-            series = _controlled_run(cfg, kind, n, realization, training).controlled
+            series = _control_cell(cfg, kind, n, realization)[1].controlled
         stats = climate_stats(series)
         lam, nu = stats.lambda_max, stats.corr_dim
         status = "ok" if math.isfinite(lam) and math.isfinite(nu) else "degenerate"

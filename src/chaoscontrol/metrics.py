@@ -115,6 +115,9 @@ _TREE_FLAGS = {"compact_nodes": False, "balanced_tree": False}
 # first-stage neighbour count of the Theiler-window search; the first
 # valid neighbour on attractor series sits at rank <= 5
 _FIRST_QUERY_K = 8
+# rows per full-depth Theiler query: a near-fixed-point series sends all its
+# rows there, and 10k of them in one query hold about 30 MB
+_REDO_BLOCK = 512
 # largest point block the GP count traverses against itself; smaller
 # blocks add tree builds, larger ones revisit more ordered pairs twice
 # (128-512 all take 0.57-0.63 of a single self-count on 10k samples)
@@ -335,19 +338,22 @@ def theiler_neighbours(points: np.ndarray, window: int) -> tuple[np.ndarray, np.
     its index is defined only up to ties: where several valid points sit
     at that distance (as on a series that repeats exactly), which one is
     returned follows cKDTree's tie order, which may differ between the
-    two query depths.
+    two query depths.  Each row is answered on its own, so the full-depth
+    rows are queried ``_REDO_BLOCK`` at a time with the same result.
     """
     m = points.shape[0]
-    rows = np.arange(m)
     tree = cKDTree(points, **_TREE_FLAGS)
     k_full = min(2 * window + 2, m)
     k = min(_FIRST_QUERY_K, k_full)
-    _, idx = tree.query(points, k=k)
-    nb, has_valid = _first_valid_neighbour(idx, rows, window, m)
-    redo = np.flatnonzero(~has_valid)
-    if len(redo) and k < k_full:
-        _, idx = tree.query(points[redo], k=k_full)
-        nb[redo], has_valid[redo] = _first_valid_neighbour(idx, redo, window, m)
+    idx = tree.query(points, k=k)[1]
+    nb, has_valid = _first_valid_neighbour(idx, np.arange(m), window, m)
+    del idx
+    if k < k_full:
+        redo = np.flatnonzero(~has_valid)
+        for first in range(0, len(redo), _REDO_BLOCK):
+            block = redo[first:first + _REDO_BLOCK]
+            idx = tree.query(points[block], k=k_full)[1]
+            nb[block], has_valid[block] = _first_valid_neighbour(idx, block, window, m)
     return nb, has_valid
 
 

@@ -101,7 +101,9 @@ def ridge_fit(
             # a finite design whose column norms overflow: an inf in R has
             # no meaningful SVD, and scipy's raises ValueError on a NaN
             raise np.linalg.LinAlgError("non-finite R")
-        u_r, s, vt = svd(r, full_matrices=False, overwrite_a=True, check_finite=False)
+        # qr_multiply returns R row-major and gesdd factors a column-major
+        # array, so scipy copies R first: ``overwrite_a`` would save nothing
+        u_r, s, vt = svd(r, full_matrices=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"QR or SVD of the design matrix failed (beta={beta:g})"

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from chaoscontrol.experiments import (
     summarize_rows,
     write_trajectory_csv,
 )
+from chaoscontrol.modelio import field_parsers, parse_key_values
 
 from conftest import summary_for
 from oracles import timed_csv_bytes
@@ -92,6 +95,15 @@ def test_config_file_parsing(tmp_path):
     assert spec.training_lengths == (250, 500)
     assert spec.n_realizations == 4
     assert spec.kinds == ("ngrc",)
+
+
+def test_readme_config_block_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    mapping = parse_key_values(block.splitlines(), "README.md")
+    assert set(mapping) == set(field_parsers(ExperimentConfig)) | set(experiments._SWEEP_KEYS)
+    assert config_from_mapping(mapping) == config_from_mapping({})
 
 
 def test_unknown_and_malformed_keys_rejected(tmp_path):
@@ -208,6 +220,18 @@ def test_prepare_trained_model_matches_single_run():
     assert np.array_equal(training.samples, report.training.samples)
     # same model: its first step is the run's first predicted sample
     assert model.stepper().step() == report.prediction.samples[0].tolist()
+
+
+def test_sweep_cell_matches_single_run(mini_sweep):
+    # a sweep cell and run_single fit and control through one helper, so a
+    # cell's climate is the run's controlled climate bit for bit
+    _, cfg, _, result = mini_sweep
+    row = next(r for r in result.rows if (r.kind, r.n, r.seed) == ("classic", 300, 1))
+    report = run_single(replace(cfg, kind="classic", training_steps=300), realization=1)
+    assert row.status == "ok"
+    got = np.array([row.lambda_max, row.corr_dim])
+    want = np.array([report.controlled_climate.lambda_max, report.controlled_climate.corr_dim])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sweep_rows_sorted_and_failures_logged(mini_sweep):

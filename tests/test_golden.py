@@ -1,12 +1,14 @@
 import json
 
-from golden import GOLDEN, run_pass
+from golden import GOLDEN, host_signature, run_pass
 
 HOST_CAVEAT = (
-    "If no code changed, the cause is the host: the bytes depend on the CPU "
-    "through LAPACK's dgeev (the reservoir's spectral radius) and on the "
-    "BLAS thread count (the package pins one thread). A change that moves "
-    "bytes on purpose regenerates the digests with "
+    "If no code changed, the cause is the host: the bytes depend on numpy's "
+    "SIMD dispatch (np.tanh, np.log and np.exp round differently per "
+    "target), on the OpenBLAS kernel family picked for the CPU (every "
+    "readout product and factorization, the reservoir's dgeev included) "
+    "and on the BLAS thread count (the package pins one thread). A change "
+    "that moves bytes on purpose regenerates the digests with "
     "`PYTHONPATH=src python3 tests/golden.py` and lists the moved files in "
     "CHANGES.md."
 )
@@ -25,5 +27,6 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert len(want["commands"]) == len(got["commands"])
     assert not moved and not commands, (
         f"outputs differ from {GOLDEN.name}: files {moved}, "
-        f"command exit codes or lines {commands}. " + HOST_CAVEAT
+        f"command exit codes or lines {commands}. Recorded host signature "
+        f"{want['signature']}, this host {host_signature()}. " + HOST_CAVEAT
     )

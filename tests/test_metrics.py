@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -334,6 +335,26 @@ def test_theiler_neighbours_match_brute_force_oracle(series, deep):
     assert (rank.max() >= _FIRST_QUERY_K) == deep
     np.testing.assert_array_equal(has_valid, expected_valid)
     np.testing.assert_array_equal(neighbour, expected)
+
+
+# tracemalloc peak of the Theiler search on a 9,941-row contracting spiral,
+# every row of which needs the full-depth query, in bytes a row: the search
+# reads about 210; one full-depth index array of every row alone takes
+# (2W + 2) * 8 = 816, and querying all rows at once reads about 3,300
+THEILER_PEAK_PER_ROW = 400
+
+
+def test_theiler_search_peak_memory_pinned():
+    points = _spiral(9941)
+    tracemalloc.start()
+    try:
+        _, has_valid = theiler_neighbours(points, THEILER_WINDOW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert has_valid.all()
+    # the lower bound shows that numpy's buffers are traced at all
+    assert len(points) * _FIRST_QUERY_K * 8 <= peak <= THEILER_PEAK_PER_ROW * len(points)
 
 
 def test_theiler_neighbours_tie_order_known_limit():

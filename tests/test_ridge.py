@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import chaoscontrol.ridge
 from chaoscontrol import ridge_fit
 from chaoscontrol.errors import IllConditionedError
-from chaoscontrol.experiments import ExperimentConfig, prepare_trained_model
+from chaoscontrol.experiments import ExperimentConfig, _run_cell, prepare_trained_model
 from chaoscontrol.ngrc import build_design
 from chaoscontrol.ridge import RIDGE_RCOND
 
+from conftest import X_LAMBDA, X_NU
 from oracles import esn_harvest, ridge_normal_equations, ridge_svd
 
 
@@ -286,3 +287,17 @@ def test_copying_fit_keeps_design_and_holds_one_copy(order, overwrite):
         tracemalloc.stop()
     assert design.tobytes() == before.tobytes()
     assert x.nbytes <= peak <= 1.3 * x.nbytes
+
+
+def test_rank_cutoff_keeps_a2_cells_alive_known_limit(monkeypatch):
+    # Known limit: A2's pass rests on RIDGE_RCOND as well as on the penalty
+    # (README "Ridge rank cutoff").  At master seed 0, N = 5000, classic
+    # realizations 8 and 18 land in the X band with the cutoff and diverge
+    # without it, the penalty unchanged.
+    cells = [(ExperimentConfig(), "classic", 5000, r) for r in (8, 18)]
+    for row in map(_run_cell, cells):
+        assert row.status == "ok"
+        assert X_LAMBDA[0] <= row.lambda_max <= X_LAMBDA[1]
+        assert X_NU[0] <= row.corr_dim <= X_NU[1]
+    monkeypatch.setattr(chaoscontrol.ridge, "RIDGE_RCOND", 0.0)
+    assert [row.status for row in map(_run_cell, cells)] == ["diverged", "diverged"]
