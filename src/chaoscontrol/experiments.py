@@ -524,37 +524,27 @@ def run_sweep(
     return result
 
 
-def _series_for(summary, kind, lengths, field, err_field):
-    xs, ys, es = [], [], []
-    for n in lengths:
-        for row in summary:
-            if row.kind == kind and row.n == n:
-                xs.append(n)
-                ys.append(getattr(row, field))
-                es.append(getattr(row, err_field))
-    return xs, ys, es
-
-
 def _write_sweep_charts(out_dir, spec: SweepSpec, summary) -> None:
-    ref = next((row for row in summary if row.kind == "ref_train" and row.n == 0), None)
+    # the grid gives every (kind, N) of the spec, and the reference, one row
+    rows = {(row.kind, row.n): row for row in summary}
+    lengths = spec.training_lengths
     for field, err_field, label, fname in (
         ("lambda_mean", "lambda_std", "largest Lyapunov exponent", "sweep_lambda.svg"),
         ("nu_mean", "nu_std", "correlation dimension", "sweep_nu.svg"),
     ):
         series = [
-            (kind, *_series_for(summary, kind, spec.training_lengths, field, err_field))
+            (kind, lengths, [getattr(rows[kind, n], field) for n in lengths],
+             [getattr(rows[kind, n], err_field) for n in lengths])
             for kind in spec.kinds
         ]
-        hlines = []
-        if ref is not None and math.isfinite(getattr(ref, field)):
-            hlines.append((getattr(ref, field), "target climate"))
+        level = getattr(rows["ref_train", 0], field)
         errorbar_chart(
             os.path.join(out_dir, fname),
             series,
             title=f"controlled {label} vs training length",
             xlabel="training steps",
             ylabel=label,
-            hlines=hlines,
+            hlines=[(level, "target climate")] if math.isfinite(level) else [],
         )
 
 

@@ -377,21 +377,20 @@ def largest_lyapunov(traj: Trajectory) -> tuple[float, LyapunovDiagnostics]:
         )
 
     nb, has_valid = theiler_neighbours(points[:m], THEILER_WINDOW)
-    ref = np.flatnonzero(has_valid)
-    nb = nb[ref]
-    valid_fraction = float(len(ref)) / m
-    if len(ref) == 0:
+    valid_fraction = float(np.count_nonzero(has_valid)) / m
+    if valid_fraction == 0:
         raise InsufficientDataError("no neighbour pairs outside Theiler window")
+    # a row without a valid neighbour follows itself: its distance is 0 at
+    # every offset and is dropped with the other zeros below
+    lonely = np.flatnonzero(~has_valid)
+    nb[lonely] = lonely
 
     offsets = np.arange(FOLLOW_STEPS + 1)
     mean_log = np.empty(len(offsets))
-    # the pairs are gathered into two buffers reused at every offset
-    diff = np.empty((len(ref), points.shape[1]))
-    other = np.empty_like(diff)
+    diff = np.empty((m, points.shape[1]))  # reused at every offset
     for kk in offsets:
-        np.take(points, ref + kk, axis=0, out=diff)
-        np.take(points, nb + kk, axis=0, out=other)
-        diff -= other
+        np.take(points, nb + kk, axis=0, out=diff)
+        np.subtract(points[kk:kk + m], diff, out=diff)
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         nz = d > 0
         mean_log[kk] = np.log(d[nz]).mean() if nz.any() else -np.inf

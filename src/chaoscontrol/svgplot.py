@@ -33,8 +33,7 @@ class _Axes:
     """Linear data-to-pixel transform over the plot rectangle."""
 
     def __init__(self, xs: list, ys: list):
-        if not xs or not ys:
-            xs, ys = xs or [0.0, 1.0], ys or [0.0, 1.0]
+        xs, ys = xs or [0.0, 1.0], ys or [0.0, 1.0]
         self.x0, self.x1 = _expand(min(xs), max(xs))
         self.y0, self.y1 = _expand(min(ys), max(ys))
         self.w = _WIDTH - _ML - _MR
@@ -112,25 +111,70 @@ def _legend(labels: Sequence[str]) -> list:
     return out
 
 
-def _polyline(ax: _Axes, xs, ys, color: str) -> str:
-    pts = " ".join(
-        f"{ax.px(float(x)):.2f},{ax.py(float(y)):.2f}"
-        for x, y in zip(xs, ys)
-        if math.isfinite(float(x)) and math.isfinite(float(y))
-    )
+def _dashed(x1, y1, x2, y2) -> str:
     return (
-        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-        'stroke-width="1.5"/>'
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        'stroke="#555" stroke-width="1" stroke-dasharray="5,4"/>'
     )
 
 
-def _document(body: list) -> str:
+def _marker_label(x, y, label: str) -> str:
+    return f'<text x="{x}" y="{y}" font-size="11" fill="#555">{label}</text>'
+
+
+def _chart(path, series, title, xlabel, ylabel, vlines=(), hlines=()) -> None:
+    """Write (label, xs, ys, yerr or None) series; y spans y or y -+ yerr, and hlines."""
+    all_x, all_y = [], []
+    for _, xs, ys, es in series:
+        all_x.extend(_finite(xs))
+        if es is None:
+            all_y.extend(_finite(ys))
+            continue
+        for y, e in zip(ys, es):
+            if math.isfinite(float(y)) and math.isfinite(float(e)):
+                all_y.extend([float(y) - float(e), float(y) + float(e)])
+    all_y.extend(float(y) for y, _ in hlines)
+    ax = _Axes(all_x, all_y)
+    body = _frame(ax, title, xlabel, ylabel)
+    for y, label in hlines:
+        p = ax.py(float(y))
+        body.append(_dashed(_ML, f"{p:.2f}", _ML + ax.w, f"{p:.2f}"))
+        if label:
+            body.append(_marker_label(_ML + 4, f"{p - 4:.2f}", label))
+    for i, (_, xs, ys, es) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = " ".join(
+            f"{ax.px(float(x)):.2f},{ax.py(float(y)):.2f}"
+            for x, y in zip(xs, ys)
+            if math.isfinite(float(x)) and math.isfinite(float(y))
+        )
+        body.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        for x, y, e in zip(xs, ys, () if es is None else es):
+            x, y, e = float(x), float(y), float(e)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(e)):
+                continue
+            p, lo, hi = ax.px(x), ax.py(y - e), ax.py(y + e)
+            bar_and_caps = ((p, lo, p, hi), (p - 4, lo, p + 4, lo), (p - 4, hi, p + 4, hi))
+            for x1, y1, x2, y2 in bar_and_caps:
+                body.append(
+                    f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                    f'stroke="{color}" stroke-width="1.2"/>'
+                )
+    for x, label in vlines:
+        p = ax.px(float(x))
+        body.append(_dashed(f"{p:.2f}", _MT, f"{p:.2f}", _MT + ax.h))
+        if label:
+            body.append(_marker_label(f"{p + 4:.2f}", _MT + 14, label))
+    body.extend(_legend([label for label, *_ in series]))
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
         'font-family="sans-serif">'
     )
-    return "\n".join([head, *body, "</svg>", ""])
+    with open(path, "w") as fh:
+        fh.write("\n".join([head, *body, "</svg>", ""]))
 
 
 def line_chart(
@@ -146,26 +190,8 @@ def line_chart(
     ``vlines`` draws labelled dashed vertical markers, e.g. a washout or
     warm-up boundary in a training-data snapshot.
     """
-    all_x = [v for _, xs, _ in series for v in _finite(xs)]
-    all_y = [v for _, _, ys in series for v in _finite(ys)]
-    ax = _Axes(all_x, all_y)
-    body = _frame(ax, title, xlabel, ylabel)
-    for i, (_, xs, ys) in enumerate(series):
-        body.append(_polyline(ax, xs, ys, _PALETTE[i % len(_PALETTE)]))
-    for x, label in vlines or ():
-        p = ax.px(float(x))
-        body.append(
-            f'<line x1="{p:.2f}" y1="{_MT}" x2="{p:.2f}" y2="{_MT + ax.h}" '
-            'stroke="#555" stroke-width="1" stroke-dasharray="5,4"/>'
-        )
-        if label:
-            body.append(
-                f'<text x="{p + 4:.2f}" y="{_MT + 14}" font-size="11" '
-                f'fill="#555">{label}</text>'
-            )
-    body.extend(_legend([label for label, _, _ in series]))
-    with open(path, "w") as fh:
-        fh.write(_document(body))
+    series = [(label, xs, ys, None) for label, xs, ys in series]
+    _chart(path, series, title, xlabel, ylabel, vlines=vlines or ())
 
 
 def errorbar_chart(
@@ -181,45 +207,4 @@ def errorbar_chart(
     Each point gets a vertical bar spanning y err with end caps.
     ``hlines`` draws labelled dashed horizontal reference levels.
     """
-    all_x, all_y = [], []
-    for _, xs, ys, es in series:
-        all_x.extend(_finite(xs))
-        for y, e in zip(ys, es):
-            if math.isfinite(float(y)) and math.isfinite(float(e)):
-                all_y.extend([float(y) - float(e), float(y) + float(e)])
-    for y, _ in hlines or ():
-        all_y.append(float(y))
-    ax = _Axes(all_x, all_y)
-    body = _frame(ax, title, xlabel, ylabel)
-    for y, label in hlines or ():
-        p = ax.py(float(y))
-        body.append(
-            f'<line x1="{_ML}" y1="{p:.2f}" x2="{_ML + ax.w}" y2="{p:.2f}" '
-            'stroke="#555" stroke-width="1" stroke-dasharray="5,4"/>'
-        )
-        if label:
-            body.append(
-                f'<text x="{_ML + 4}" y="{p - 4:.2f}" font-size="11" '
-                f'fill="#555">{label}</text>'
-            )
-    for i, (_, xs, ys, es) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        body.append(_polyline(ax, xs, ys, color))
-        for x, y, e in zip(xs, ys, es):
-            x, y, e = float(x), float(y), float(e)
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(e)):
-                continue
-            p = ax.px(x)
-            lo, hi = ax.py(y - e), ax.py(y + e)
-            body.append(
-                f'<line x1="{p:.2f}" y1="{lo:.2f}" x2="{p:.2f}" '
-                f'y2="{hi:.2f}" stroke="{color}" stroke-width="1.2"/>'
-            )
-            for yy in (lo, hi):
-                body.append(
-                    f'<line x1="{p - 4:.2f}" y1="{yy:.2f}" x2="{p + 4:.2f}" '
-                    f'y2="{yy:.2f}" stroke="{color}" stroke-width="1.2"/>'
-                )
-    body.extend(_legend([label for label, *_ in series]))
-    with open(path, "w") as fh:
-        fh.write(_document(body))
+    _chart(path, series, title, xlabel, ylabel, hlines=hlines or ())

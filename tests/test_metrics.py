@@ -384,6 +384,7 @@ def test_rows_without_valid_neighbour_lower_valid_fraction():
     _, diag = largest_lyapunov(traj)
     assert diag.valid_fraction == expected_valid.sum() / m
     assert diag.valid_fraction == 58 / 80
+    assert type(diag.valid_fraction) is float
 
 
 def _with_repeated_stretch(n=400):

@@ -86,3 +86,27 @@ def test_only_experiments_imports_csv():
             if "csv" in names:
                 importers.add(path.name)
     assert importers == {"experiments.py"}
+
+
+def _traced_names() -> dict:
+    """``SELF_METRIC`` of the bench tracer, read without importing it."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SELF_METRIC"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no SELF_METRIC in {path}")
+
+
+@pytest.mark.parametrize("name", sorted(_traced_names()))
+def test_names_the_bench_traces_resolve(name):
+    # the tracer patches these by name; a renamed function leaves its
+    # layer untraced, which only the bench's own tests would notice
+    module, function = name.split(".")
+    assert callable(getattr(importlib.import_module(f"chaoscontrol.{module}"), function, None))
+
+
+@pytest.mark.parametrize("cls", ["esn.EsnModel", "ngrc.NgrcModel"])
+def test_stepper_methods_the_bench_traces_exist(cls):
+    module, name = cls.split(".")
+    model = getattr(importlib.import_module(f"chaoscontrol.{module}"), name)
+    assert callable(getattr(model, "stepper", None))
