@@ -152,14 +152,15 @@ def step_rk4(u, p: LorenzParams, cfg: IntegratorConfig) -> np.ndarray:
     """Advance the unforced Lorenz state by one sampling interval [t, t+dt].
 
     Raises:
-        IntegrationError: if the resulting state is non-finite.
+        IntegrationError: if the resulting state is non-finite; its step is 1,
+            the sample it produced, as :func:`simulate` counts.
     """
     out = _rk4_intervals(
         float(u[0]), float(u[1]), float(u[2]),
         p.sigma, p.rho, p.beta, cfg.dt, cfg.substeps, 0.0, 0.0, 0.0,
     )
     if not (math.isfinite(out[0]) and math.isfinite(out[1]) and math.isfinite(out[2])):
-        raise IntegrationError("RK4 step produced a non-finite state", step=0)
+        raise IntegrationError("RK4 step produced a non-finite state", step=1)
     return np.array(out)
 
 

@@ -80,6 +80,7 @@ class LyapunovDiagnostics:
     valid_fraction: float
     few_neighbors: bool = False
     degenerate: bool = False
+    low_fit_quality: bool = False
 
 
 @dataclass
@@ -407,6 +408,7 @@ def largest_lyapunov(traj: Trajectory) -> tuple[float, LyapunovDiagnostics]:
         offsets=offsets, mean_log_dist=mean_log, slope_per_step=slope,
         intercept=intercept, r_squared=r2, valid_fraction=valid_fraction,
         few_neighbors=valid_fraction < 0.1, degenerate=degenerate,
+        low_fit_quality=not degenerate and r2 < 0.9,
     )
     return slope / traj.dt, diag
 

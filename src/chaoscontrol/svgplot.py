@@ -15,17 +15,12 @@ __all__ = ["line_chart", "errorbar_chart"]
 _WIDTH, _HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 44, 56
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _finite(values) -> list:
-    return [float(v) for v in values if math.isfinite(float(v))]
+_DASHED = 'stroke="#555" stroke-width="1" stroke-dasharray="5,4"'
+_MARKER_LABEL = 'font-size="11" fill="#555"'
 
 
 def _expand(lo: float, hi: float) -> tuple:
-    if lo == hi:
-        pad = abs(lo) * 0.5 or 1.0
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
+    pad = (hi - lo) * 0.05 if lo != hi else abs(lo) * 0.5 or 1.0
     return lo - pad, hi + pad
 
 
@@ -51,47 +46,36 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
     return [lo + i * step for i in range(n)]
 
 
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
+def _text(x, y, label: str, style: str) -> str:
+    return f'<text x="{x}" y="{y}" {style}>{label}</text>'
+
+
 def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list:
     out = [
         f'<rect x="{_ML}" y="{_MT}" width="{ax.w}" height="{ax.h}" '
         'fill="none" stroke="#222" stroke-width="1"/>'
     ]
     if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{title}</text>'
-        )
+        out.append(_text(f"{_WIDTH / 2:.1f}", 24, title, 'text-anchor="middle" font-size="15"'))
     for tx in _ticks(ax.x0, ax.x1):
-        p = ax.px(tx)
-        out.append(
-            f'<line x1="{p:.2f}" y1="{_MT + ax.h}" x2="{p:.2f}" '
-            f'y2="{_MT + ax.h + 5}" stroke="#222"/>'
-        )
-        out.append(
-            f'<text x="{p:.2f}" y="{_MT + ax.h + 20}" text-anchor="middle" '
-            f'font-size="11">{tx:.6g}</text>'
-        )
+        p = f"{ax.px(tx):.2f}"
+        out.append(_line(p, _MT + ax.h, p, _MT + ax.h + 5, 'stroke="#222"'))
+        out.append(_text(p, _MT + ax.h + 20, f"{tx:.6g}", 'text-anchor="middle" font-size="11"'))
     for ty in _ticks(ax.y0, ax.y1):
         p = ax.py(ty)
-        out.append(
-            f'<line x1="{_ML - 5}" y1="{p:.2f}" x2="{_ML}" y2="{p:.2f}" '
-            'stroke="#222"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 8}" y="{p + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{ty:.6g}</text>'
-        )
+        out.append(_line(_ML - 5, f"{p:.2f}", _ML, f"{p:.2f}", 'stroke="#222"'))
+        out.append(_text(_ML - 8, f"{p + 4:.2f}", f"{ty:.6g}", 'text-anchor="end" font-size="11"'))
     if xlabel:
-        out.append(
-            f'<text x="{_ML + ax.w / 2:.1f}" y="{_HEIGHT - 14}" '
-            f'text-anchor="middle" font-size="13">{xlabel}</text>'
-        )
+        out.append(_text(f"{_ML + ax.w / 2:.1f}", _HEIGHT - 14, xlabel,
+                         'text-anchor="middle" font-size="13"'))
     if ylabel:
-        cy = _MT + ax.h / 2
-        out.append(
-            f'<text x="18" y="{cy:.1f}" text-anchor="middle" font-size="13" '
-            f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
-        )
+        cy = f"{_MT + ax.h / 2:.1f}"
+        out.append(_text(18, cy, ylabel, 'text-anchor="middle" font-size="13" '
+                                         f'transform="rotate(-90 18 {cy})"'))
     return out
 
 
@@ -103,76 +87,62 @@ def _legend(labels: Sequence[str]) -> list:
             continue
         y = _MT + 14 + 16 * i
         color = _PALETTE[i % len(_PALETTE)]
-        out.append(
-            f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(f'<text x="{x + 28}" y="{y}" font-size="12">{label}</text>')
+        out.append(_line(x, y - 4, x + 22, y - 4, f'stroke="{color}" stroke-width="2"'))
+        out.append(_text(x + 28, y, label, 'font-size="12"'))
     return out
 
 
-def _dashed(x1, y1, x2, y2) -> str:
-    return (
-        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-        'stroke="#555" stroke-width="1" stroke-dasharray="5,4"/>'
-    )
-
-
-def _marker_label(x, y, label: str) -> str:
-    return f'<text x="{x}" y="{y}" font-size="11" fill="#555">{label}</text>'
+def _finite_rows(*columns) -> list:
+    """The rows of ``zip(*columns)``, as floats, whose every entry is finite."""
+    rows = (tuple(map(float, row)) for row in zip(*columns))
+    return [row for row in rows if all(map(math.isfinite, row))]
 
 
 def _chart(path, series, title, xlabel, ylabel, vlines=(), hlines=()) -> None:
-    """Write (label, xs, ys, yerr or None) series; y spans y or y -+ yerr, and hlines."""
-    all_x, all_y = [], []
+    """Write (label, xs, ys, yerr or None) series; the axes span what is drawn.
+
+    A series draws a vertex at each point with finite x and y and a bar
+    where the error is finite too; only finite markers are drawn.  y spans
+    the vertices, bar ends and ``hlines``; x every finite x and ``vlines``.
+    """
+    vlines = [(float(x), label) for x, label in vlines if math.isfinite(x)]
+    hlines = [(float(y), label) for y, label in hlines if math.isfinite(y)]
+    drawn, all_x, all_y = [], [], []
     for _, xs, ys, es in series:
-        all_x.extend(_finite(xs))
-        if es is None:
-            all_y.extend(_finite(ys))
-            continue
-        for y, e in zip(ys, es):
-            if math.isfinite(float(y)) and math.isfinite(float(e)):
-                all_y.extend([float(y) - float(e), float(y) + float(e)])
-    all_y.extend(float(y) for y, _ in hlines)
+        vertices = _finite_rows(xs, ys)
+        bars = [(x, y - e, y + e) for x, y, e in _finite_rows(xs, ys, () if es is None else es)]
+        drawn.append((vertices, bars))
+        all_x.extend(x for x in map(float, xs) if math.isfinite(x))
+        all_y.extend(y for _, y in vertices)
+        all_y.extend(end for _, lo, hi in bars for end in (lo, hi))
+    all_x.extend(x for x, _ in vlines)
+    all_y.extend(y for y, _ in hlines)
     ax = _Axes(all_x, all_y)
     body = _frame(ax, title, xlabel, ylabel)
     for y, label in hlines:
-        p = ax.py(float(y))
-        body.append(_dashed(_ML, f"{p:.2f}", _ML + ax.w, f"{p:.2f}"))
+        p = ax.py(y)
+        body.append(_line(_ML, f"{p:.2f}", _ML + ax.w, f"{p:.2f}", _DASHED))
         if label:
-            body.append(_marker_label(_ML + 4, f"{p - 4:.2f}", label))
-    for i, (_, xs, ys, es) in enumerate(series):
+            body.append(_text(_ML + 4, f"{p - 4:.2f}", label, _MARKER_LABEL))
+    for i, (vertices, bars) in enumerate(drawn):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{ax.px(float(x)):.2f},{ax.py(float(y)):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(float(x)) and math.isfinite(float(y))
-        )
+        pts = " ".join(f"{ax.px(x):.2f},{ax.py(y):.2f}" for x, y in vertices)
         body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        for x, y, e in zip(xs, ys, () if es is None else es):
-            x, y, e = float(x), float(y), float(e)
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(e)):
-                continue
-            p, lo, hi = ax.px(x), ax.py(y - e), ax.py(y + e)
-            bar_and_caps = ((p, lo, p, hi), (p - 4, lo, p + 4, lo), (p - 4, hi, p + 4, hi))
-            for x1, y1, x2, y2 in bar_and_caps:
-                body.append(
-                    f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-                    f'stroke="{color}" stroke-width="1.2"/>'
-                )
+        for x, lo, hi in bars:
+            p, lo, hi = ax.px(x), ax.py(lo), ax.py(hi)
+            for ends in ((p, lo, p, hi), (p - 4, lo, p + 4, lo), (p - 4, hi, p + 4, hi)):
+                body.append(_line(*(f"{v:.2f}" for v in ends),
+                                  f'stroke="{color}" stroke-width="1.2"'))
     for x, label in vlines:
-        p = ax.px(float(x))
-        body.append(_dashed(f"{p:.2f}", _MT, f"{p:.2f}", _MT + ax.h))
+        p = ax.px(x)
+        body.append(_line(f"{p:.2f}", _MT, f"{p:.2f}", _MT + ax.h, _DASHED))
         if label:
-            body.append(_marker_label(f"{p + 4:.2f}", _MT + 14, label))
+            body.append(_text(f"{p + 4:.2f}", _MT + 14, label, _MARKER_LABEL))
     body.extend(_legend([label for label, *_ in series]))
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
-        'font-family="sans-serif">'
-    )
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif">')
     with open(path, "w") as fh:
         fh.write("\n".join([head, *body, "</svg>", ""]))
 

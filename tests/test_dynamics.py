@@ -106,6 +106,17 @@ def test_integration_error_names_first_non_finite_step(u0, step):
     assert info.value.step == step
 
 
+def test_step_rk4_names_the_sample_it_produced():
+    # the interval that makes simulate's sample 1 non-finite is step 1 here too
+    u0 = np.array([1e200, 1e200, 1e200])
+    with pytest.raises(IntegrationError) as info:
+        step_rk4(u0, TRAIN_PARAMS, INTEGRATOR)
+    assert info.value.step == 1
+    with pytest.raises(IntegrationError) as info:
+        simulate(u0, TRAIN_PARAMS, INTEGRATOR, 1)
+    assert info.value.step == 1
+
+
 def test_simulate_length_contract():
     u0 = np.array([1.0, 1.0, 1.0])
     assert len(simulate(u0, TRAIN_PARAMS, INTEGRATOR, 1)) == 2

@@ -98,3 +98,39 @@ def test_one_point_sits_at_the_centre(tmp_path):
     line_chart(path, [("x", [5.0], [2.0])])
     (polyline,) = ET.parse(path).getroot().findall(f"{NS}polyline")
     assert polyline.get("points") == "384.00,234.00"
+
+
+# CASES plus a point with a finite y but a non-finite error, a marker beyond
+# the data and a non-finite marker: each must widen the axes or stay undrawn
+FRAME_CASES = {
+    **{name: case[:3] for name, case in CASES.items()},
+    "errorbar-nan-marker": (errorbar_chart, [("a", [1, 2], [1.0, 2.0], [0.1, 0.1])], [(NAN, "m")]),
+    "errorbar-finite-y-nan-error": (
+        errorbar_chart, [("a", [1, 2], [1.0, 10.0], [0.1, NAN])], [],
+    ),
+    "line-vline-outside-data": (line_chart, [("a", [0.0, 1.0], [0.0, 1.0])], [(5, "")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_everything_drawn_lies_inside_the_frame(tmp_path, name):
+    chart, series, markers = FRAME_CASES[name]
+    path = tmp_path / f"{name}.svg"
+    _draw(path, chart, series, markers)
+    root = ET.parse(path).getroot()
+    (rect,) = root.findall(f"{NS}rect")
+    x0, y0 = float(rect.get("x")), float(rect.get("y"))
+    x1, y1 = x0 + float(rect.get("width")), y0 + float(rect.get("height"))
+
+    drawn = [
+        tuple(map(float, pair.split(",")))
+        for el in root.findall(f"{NS}polyline")
+        for pair in el.get("points").split()
+    ]
+    for el in root.findall(f"{NS}line"):
+        # bars and dashed markers; ticks and legend swatches sit outside by design
+        if el.get("stroke-width") == "1.2" or el.get("stroke-dasharray"):
+            drawn += [(float(el.get("x1")), float(el.get("y1"))),
+                      (float(el.get("x2")), float(el.get("y2")))]
+    outside = [(x, y) for x, y in drawn if not (x0 <= x <= x1 and y0 <= y <= y1)]
+    assert outside == []
