@@ -46,14 +46,7 @@ from .dynamics import (
     simulate,
     step_rk4,
 )
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    IllConditionedError,
-    InsufficientDataError,
-    IntegrationError,
-    ReservoirSamplingError,
-)
+from .errors import ChaosControlError, ConfigError, DivergenceError
 from .esn import EsnConfig
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
@@ -445,12 +438,7 @@ def _run_cell(args) -> SweepRow:
         status = "ok" if math.isfinite(lam) and math.isfinite(nu) else "degenerate"
     except DivergenceError:
         status = "diverged"
-    except (
-        IllConditionedError,
-        InsufficientDataError,
-        IntegrationError,
-        ReservoirSamplingError,
-    ):
+    except ChaosControlError:
         status = "failed"
     return SweepRow(kind, n, realization, float(lam), float(nu), status)
 

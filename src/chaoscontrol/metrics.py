@@ -282,31 +282,28 @@ def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
 
     diam = _attractor_diameter(points)
     # zero: a collapsed cloud; inf: squared distances overflow float64
-    if not 0.0 < diam < np.inf:
-        diag = GpDiagnostics(
-            r=np.array([]), c=np.array([]), slope=float("nan"),
-            intercept=float("nan"), r_squared=0.0, n_pairs=0, degenerate=True,
-        )
-        return float("nan"), diag
-
-    r_grid = np.geomspace(GP_R_MIN * diam, GP_R_MAX * diam, GP_N_R)
-    # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
-    cum = np.cumsum(_two_process_pair_counts(points, r_grid)) - n
-    n_pairs = n * (n - 1)
+    if 0.0 < diam < np.inf:
+        r_grid = np.geomspace(GP_R_MIN * diam, GP_R_MAX * diam, GP_N_R)
+        # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
+        cum = np.cumsum(_two_process_pair_counts(points, r_grid)) - n
+        n_pairs = n * (n - 1)
+    else:
+        r_grid = cum = np.array([])
+        n_pairs = 0
     c_r = cum / n_pairs
 
-    if cum[-1] == 0:
-        diag = GpDiagnostics(
-            r=r_grid, c=c_r, slope=float("nan"), intercept=float("nan"),
-            r_squared=0.0, n_pairs=n_pairs, degenerate=True,
-        )
-        return float("nan"), diag
-
-    mask = cum > 0
-    slope, intercept, r2 = _linear_fit(np.log(r_grid[mask]), np.log(c_r[mask]))
+    # no pair within any threshold (or no thresholds): nothing to fit
+    degenerate = not cum.any()
+    if degenerate:
+        slope = intercept = float("nan")
+        r2 = 0.0
+    else:
+        mask = cum > 0
+        slope, intercept, r2 = _linear_fit(np.log(r_grid[mask]), np.log(c_r[mask]))
     diag = GpDiagnostics(
         r=r_grid, c=c_r, slope=slope, intercept=intercept, r_squared=r2,
-        n_pairs=n_pairs, low_fit_quality=r2 < 0.9,
+        n_pairs=n_pairs, degenerate=degenerate,
+        low_fit_quality=not degenerate and r2 < 0.9,
     )
     return slope, diag
 

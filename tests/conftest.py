@@ -36,6 +36,25 @@ def attractor_trajectory(params, n_steps, seed=0):
     return simulate(u0, params, INTEGRATOR, n_steps)
 
 
+def in_x_band(row) -> bool:
+    """Whether a sweep row is ok and its climate lies in the X band."""
+    return (
+        row.status == "ok"
+        and X_LAMBDA[0] <= row.lambda_max <= X_LAMBDA[1]
+        and X_NU[0] <= row.corr_dim <= X_NU[1]
+    )
+
+
+def a2_outcome(rows) -> tuple:
+    """A2's measures of a sweep's rows: (classic rows in the X band,
+    |median lambda of the ok classic rows - that of the ok ref_train rows|)."""
+    classic = [r for r in rows if r.kind == "classic"]
+    controlled = [r.lambda_max for r in classic if r.status == "ok"]
+    reference = [r.lambda_max for r in rows if r.kind == "ref_train" and r.status == "ok"]
+    gap = abs(float(np.median(controlled)) - float(np.median(reference)))
+    return sum(map(in_x_band, classic)), gap
+
+
 def summary_for(result, kind, n):
     """The summary row of one (kind, N) cell of a SweepResult."""
     for row in result.summary:

@@ -31,7 +31,16 @@ from chaoscontrol.experiments import (
 )
 from chaoscontrol.ngrc import build_library, poly_features
 
-from conftest import X_LAMBDA, X_NU, Y_LAMBDA, Y_NU, attractor_trajectory, summary_for
+from conftest import (
+    X_LAMBDA,
+    X_NU,
+    Y_LAMBDA,
+    Y_NU,
+    a2_outcome,
+    attractor_trajectory,
+    in_x_band,
+    summary_for,
+)
 from oracles import (
     benettin_lyapunov,
     enumerate_monomials,
@@ -48,14 +57,6 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 def _in_band(value: float, band) -> bool:
     return band[0] <= value <= band[1]
-
-
-def _in_x_band(row) -> bool:
-    return (
-        row.status == "ok"
-        and _in_band(row.lambda_max, X_LAMBDA)
-        and _in_band(row.corr_dim, X_NU)
-    )
 
 
 def test_a1_regime_climates():
@@ -87,14 +88,7 @@ def test_a2_classic_control_at_n5000(tmp_path):
         jobs=1, timestamp=False,
     )
     elapsed = time.monotonic() - t0
-    rows = [r for r in result.rows if r.kind == "classic"]
-    n_in_band = sum(_in_x_band(r) for r in rows)
-    controlled = [r.lambda_max for r in rows if r.status == "ok"]
-    reference = [
-        r.lambda_max for r in result.rows
-        if r.kind == "ref_train" and r.status == "ok"
-    ]
-    med_dev = abs(float(np.median(controlled)) - float(np.median(reference)))
+    n_in_band, med_dev = a2_outcome(result.rows)
     ok = n_in_band >= 16 and med_dev < 0.2 and elapsed < 300.0
     _report(
         "A2",
@@ -113,7 +107,7 @@ def test_a3_ngrc_control_at_n500(tmp_path):
     )
     elapsed = time.monotonic() - t0
     rows = [r for r in result.rows if r.kind == "ngrc"]
-    n_in_band = sum(_in_x_band(r) for r in rows)
+    n_in_band = sum(map(in_x_band, rows))
     statuses = sorted({r.status for r in rows})
     ok = n_in_band >= 16 and elapsed < 120.0
     _report(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chaoscontrol import Trajectory, climate_stats, experiments, simulate
-from chaoscontrol.errors import ConfigError
+from chaoscontrol.errors import ChaosControlError, ConfigError
 from chaoscontrol.experiments import (
     CSV_BLOCK,
     MAX_STEPS,
@@ -289,6 +289,31 @@ def test_sweep_process_pool_matches_serial(monkeypatch, tmp_path, mini_sweep):
     assert pools == [2]
     for name in ("sweep.csv", "summary.csv", "sweep_lambda.svg", "sweep_nu.svg"):
         assert (pooled / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_unnamed_package_error_records_a_failed_row(monkeypatch):
+    # a package error of a type no package code names ends its cell as a
+    # failed row rather than escaping run_sweep, and the sweep goes on
+    class UnnamedError(ChaosControlError):
+        pass
+
+    real_stats = experiments.climate_stats
+    calls = []
+
+    def stats_failing_first(series):
+        calls.append(series)
+        if len(calls) == 1:
+            raise UnnamedError("first cell's climate")
+        return real_stats(series)
+
+    monkeypatch.setattr(experiments, "climate_stats", stats_failing_first)
+    spec = SweepSpec(training_lengths=(300,), n_realizations=1, kinds=("classic",))
+    result = run_sweep(spec, ExperimentConfig(horizon=1200), jobs=1)
+    assert [(r.kind, r.status) for r in result.rows] == [
+        ("classic", "failed"), ("ref_plant", "ok"), ("ref_train", "ok")
+    ]
+    assert math.isnan(result.rows[0].lambda_max)
+    assert summary_for(result, "classic", 300).n_ok == 0
 
 
 @pytest.mark.parametrize(

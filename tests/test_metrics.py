@@ -24,6 +24,7 @@ from chaoscontrol.metrics import (
     _FIRST_QUERY_K,
     _GP_BLOCK,
     FOLLOW_STEPS,
+    GP_N_R,
     THEILER_WINDOW,
     theiler_neighbours,
 )
@@ -74,6 +75,27 @@ def test_collapsed_cloud_flagged_degenerate():
     traj = Trajectory(0.05, np.tile([1.0, 2.0, 3.0], (500, 1)))
     nu, diag = correlation_dimension(traj)
     assert diag.degenerate
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "points, radii, n_pairs",
+    [
+        (np.tile([1.0, 2.0, 3.0], (500, 1)), 0, 0),
+        (np.array([[0.0, 0.0, 0.0], [1e300, 1e300, 1e300]]), 0, 0),
+        (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), GP_N_R, 2),
+    ],
+    ids=["zero-diameter", "inf-diameter", "pairs-beyond-largest-radius"],
+)
+def test_degenerate_gp_diagnostics(points, radii, n_pairs):
+    # a cloud with no diameter to scale the radii by has no curve and no
+    # pairs; one whose pairs all lie beyond the largest radius keeps its
+    # radii, zero C(r) and n(n-1) pairs; neither is fitted
+    nu, diag = correlation_dimension(Trajectory(0.05, points))
+    assert np.isnan(nu) and np.isnan(diag.slope) and np.isnan(diag.intercept)
+    assert diag.r_squared == 0.0 and diag.n_pairs == n_pairs
+    assert len(diag.r) == len(diag.c) == radii and not diag.c.any()
+    assert diag.degenerate and not diag.low_fit_quality
 
 
 def test_collapsed_series_exponent_flagged_degenerate():

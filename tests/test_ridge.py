@@ -1,18 +1,25 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaoscontrol.esn
 import chaoscontrol.ridge
-from chaoscontrol import ridge_fit
-from chaoscontrol.errors import IllConditionedError
-from chaoscontrol.experiments import ExperimentConfig, _run_cell, prepare_trained_model
+from chaoscontrol import climate_stats, ridge_fit
+from chaoscontrol.errors import DivergenceError, IllConditionedError
+from chaoscontrol.experiments import (
+    ExperimentConfig,
+    _control_cell,
+    _run_cell,
+    prepare_trained_model,
+)
 from chaoscontrol.ngrc import build_design
 from chaoscontrol.ridge import RIDGE_RCOND
 
-from conftest import X_LAMBDA, X_NU
+from conftest import in_x_band
 from oracles import esn_harvest, ridge_normal_equations, ridge_svd
 
 
@@ -295,9 +302,45 @@ def test_rank_cutoff_keeps_a2_cells_alive_known_limit(monkeypatch):
     # realizations 8 and 18 land in the X band with the cutoff and diverge
     # without it, the penalty unchanged.
     cells = [(ExperimentConfig(), "classic", 5000, r) for r in (8, 18)]
-    for row in map(_run_cell, cells):
-        assert row.status == "ok"
-        assert X_LAMBDA[0] <= row.lambda_max <= X_LAMBDA[1]
-        assert X_NU[0] <= row.corr_dim <= X_NU[1]
+    assert all(in_x_band(row) for row in map(_run_cell, cells))
     monkeypatch.setattr(chaoscontrol.ridge, "RIDGE_RCOND", 0.0)
     assert [row.status for row in map(_run_cell, cells)] == ["diverged", "diverged"]
+
+
+def test_controlled_climate_is_the_predictors_known_limit():
+    # Known limit: A2 scores the predictor's free-run climate (README "What
+    # A2 measures").  At the default gain K = 20 = 1/dt the plant is slaved
+    # to the predictor, so at master seed 0, N = 5000 the controlled climate
+    # and the climate of the predictor's own outputs agree.
+    for realization in (0, 1):
+        run = _control_cell(ExperimentConfig(), "classic", 5000, realization)[1]
+        plant, predictor = climate_stats(run.controlled), climate_stats(run.hypothetical)
+        assert abs(plant.lambda_max - predictor.lambda_max) < 0.01
+        assert abs(plant.corr_dim - predictor.corr_dim) < 0.01
+
+
+def test_control_holds_only_in_a_gain_window_known_limit():
+    # Known limit: realization 0 of A2's cell diverges in the plant at
+    # K = 40, and at K = 5 the plant is not slaved and its nu exceeds 2.
+    cfg = ExperimentConfig(control_gain=40.0)
+    with pytest.raises(DivergenceError) as exc:
+        _control_cell(cfg, "classic", 5000, 0)
+    assert exc.value.phase == "control"
+    run = _control_cell(replace(cfg, control_gain=5.0), "classic", 5000, 0)[1]
+    assert climate_stats(run.controlled).corr_dim > 2
+
+
+def test_reservoir_memory_unused_known_limit(monkeypatch):
+    # Known limit: with the recurrent matrix A zeroed the reservoir state is
+    # tanh(W_in u) of the current input alone, and realization 7 of A2's
+    # cell moves into the X band (lambda 0.434 as sampled, 0.521 zeroed).
+    cell = (ExperimentConfig(), "classic", 5000, 7)
+    assert not in_x_band(_run_cell(cell))
+    sampled = chaoscontrol.esn.build_reservoir
+
+    def memoryless(cfg, input_dim):
+        a, w_in = sampled(cfg, input_dim)
+        return a * 0.0, w_in
+
+    monkeypatch.setattr(chaoscontrol.esn, "build_reservoir", memoryless)
+    assert in_x_band(_run_cell(cell))
