@@ -153,9 +153,7 @@ class ExperimentConfig:
             ("esn_reservoir_dim / esn_edge_prob / esn_input_scale / esn_spectral_radius"
              " / esn_ridge_beta", lambda: self.esn_config(seed=0, n=self.training_steps)),
             ("ngrc_k / ngrc_s / ngrc_orders / ngrc_ridge_beta", self.ngrc_config),
-            ("control_gain", lambda: ControlConfig(
-                plant_params=self.plant_params(), K=self.control_gain, n_steps=self.horizon
-            )),
+            ("control_gain", self.control_config),
         )
         for keys, build in derived:
             try:
@@ -171,6 +169,11 @@ class ExperimentConfig:
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(dt=self.dt, substeps=self.substeps)
+
+    def control_config(self) -> ControlConfig:
+        return ControlConfig(
+            plant_params=self.plant_params(), K=self.control_gain, n_steps=self.horizon
+        )
 
     def washout_for(self, n: int) -> int:
         return self.washout if self.washout is not None else min(1000, n // 5)
@@ -205,8 +208,9 @@ class SweepSpec:
 
     def __post_init__(self):
         lengths = tuple(self.training_lengths)
-        if not lengths or any(n <= 0 for n in lengths):
-            raise ConfigError("training_lengths must be positive")
+        # each length is one cell's training_steps
+        if not lengths or any(not 2 <= n <= MAX_STEPS for n in lengths):
+            raise ConfigError(f"training_lengths must lie in [2, {MAX_STEPS}]")
         if any(a >= b for a, b in zip(lengths, lengths[1:])):
             raise ConfigError("training_lengths must be strictly ascending")
         if not self.kinds or any(k not in PREDICTOR_KINDS for k in self.kinds):
@@ -321,10 +325,7 @@ def _control_cell(cfg: ExperimentConfig, kind: str, n: int, realization: int) ->
     # the plant starts one interval past the training end, already under the
     # target-regime parameters, aligning u with the predictor's first output
     u0 = step_rk4(training.samples[-1], cfg.plant_params(), cfg.integrator())
-    ctl = ControlConfig(
-        plant_params=cfg.plant_params(), K=cfg.control_gain, n_steps=cfg.horizon
-    )
-    return training, run_control(model.stepper(), u0, ctl, cfg.integrator())
+    return training, run_control(model.stepper(), u0, cfg.control_config(), cfg.integrator())
 
 
 def prepare_trained_model(cfg: ExperimentConfig) -> tuple:

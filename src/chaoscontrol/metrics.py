@@ -94,14 +94,18 @@ class ClimateStats:
 
 
 def _linear_fit(x, y):
-    """Least-squares line fit returning (slope, intercept, R^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Least-squares line fit: (slope, intercept, R^2, degenerate, low_fit_quality).
+
+    Fewer than two points fit no line and give (nan, nan, 0, degenerate);
+    a fitted line with R^2 < 0.9 is of low quality.
+    """
+    if len(x) < 2:
+        return float("nan"), float("nan"), 0.0, True, False
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid**2) / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(intercept), float(r2)
+    r2 = float(1.0 - np.sum(resid**2) / ss_tot if ss_tot > 0 else 0.0)
+    return float(slope), float(intercept), r2, False, r2 < 0.9
 
 
 def _attractor_diameter(points: np.ndarray) -> float:
@@ -272,8 +276,8 @@ def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
     closed-ball counts.  On a series of at least ``_GP_FORK_MIN`` points,
     in a single-threaded process with a second usable CPU, a forked child
     counts one half of the first cut while this process counts the rest.
-    Returns (nu, diagnostics); a collapsed trajectory (all counts zero) or
-    a fit with R^2 < 0.9 is flagged on the diagnostics rather than raised.
+    Returns (nu, diagnostics); a curve of fewer than two positive C(r) (nu
+    nan) or a fit with R^2 < 0.9 is flagged on the diagnostics, not raised.
     """
     points = traj.samples
     n = points.shape[0]
@@ -292,18 +296,14 @@ def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
         n_pairs = 0
     c_r = cum / n_pairs
 
-    # no pair within any threshold (or no thresholds): nothing to fit
-    degenerate = not cum.any()
-    if degenerate:
-        slope = intercept = float("nan")
-        r2 = 0.0
-    else:
-        mask = cum > 0
-        slope, intercept, r2 = _linear_fit(np.log(r_grid[mask]), np.log(c_r[mask]))
+    # log C(r) exists only where a pair lies within r
+    mask = cum > 0
+    slope, intercept, r2, degenerate, low_fit = _linear_fit(
+        np.log(r_grid[mask]), np.log(c_r[mask])
+    )
     diag = GpDiagnostics(
         r=r_grid, c=c_r, slope=slope, intercept=intercept, r_squared=r2,
-        n_pairs=n_pairs, degenerate=degenerate,
-        low_fit_quality=not degenerate and r2 < 0.9,
+        n_pairs=n_pairs, degenerate=degenerate, low_fit_quality=low_fit,
     )
     return slope, diag
 
@@ -369,9 +369,10 @@ def largest_lyapunov(traj: Trajectory) -> tuple[float, LyapunovDiagnostics]:
     points = traj.samples
     n = points.shape[0]
     m = n - FOLLOW_STEPS  # trackable reference points
-    if m < 2:
+    if m < THEILER_WINDOW + 2:  # no two of them more than THEILER_WINDOW apart
         raise InsufficientDataError(
-            f"Rosenstein estimate needs at least {FOLLOW_STEPS + 2} samples, got {n}"
+            "Rosenstein estimate needs at least "
+            f"{FOLLOW_STEPS + THEILER_WINDOW + 2} samples, got {n}"
         )
 
     nb, has_valid = theiler_neighbours(points[:m], THEILER_WINDOW)
@@ -395,17 +396,14 @@ def largest_lyapunov(traj: Trajectory) -> tuple[float, LyapunovDiagnostics]:
 
     window = np.arange(FIT_START, FIT_END + 1)
     finite = np.isfinite(mean_log[window])
-    degenerate = np.count_nonzero(finite) < 2
-    if degenerate:
-        slope = intercept = float("nan")
-        r2 = 0.0
-    else:
-        slope, intercept, r2 = _linear_fit(window[finite], mean_log[window][finite])
+    slope, intercept, r2, degenerate, low_fit = _linear_fit(
+        window[finite], mean_log[window][finite]
+    )
     diag = LyapunovDiagnostics(
         offsets=offsets, mean_log_dist=mean_log, slope_per_step=slope,
         intercept=intercept, r_squared=r2, valid_fraction=valid_fraction,
         few_neighbors=valid_fraction < 0.1, degenerate=degenerate,
-        low_fit_quality=not degenerate and r2 < 0.9,
+        low_fit_quality=low_fit,
     )
     return slope / traj.dt, diag
 

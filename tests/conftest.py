@@ -29,6 +29,10 @@ X_NU = (1.15, 1.55)
 Y_LAMBDA = (0.70, 1.10)
 Y_NU = (1.55, 1.80)
 
+# 343 points of the 7x7x7 unit lattice: of the GP radii only the largest
+# reaches a neighbour, so C(r) is positive at exactly one radius
+LATTICE = [(i, j, k) for i in range(7) for j in range(7) for k in range(7)]
+
 
 def attractor_trajectory(params, n_steps, seed=0):
     rng = np.random.default_rng(seed)

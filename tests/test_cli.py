@@ -15,6 +15,8 @@ from chaoscontrol.errors import DivergenceError, IllConditionedError
 from chaoscontrol.experiments import write_trajectory_csv
 from chaoscontrol.modelio import load_model
 
+from conftest import LATTICE
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -192,7 +194,7 @@ def test_metrics_rejects_malformed_trajectory_rows(tmp_path, capsys, bad_row, me
 @pytest.mark.parametrize(
     "prepare, argv, message",
     [
-        # 31 samples: fewer than FOLLOW_STEPS + 2 for the Rosenstein estimate
+        # 31 samples: fewer than the 112 of the Rosenstein estimate
         (["simulate", "--steps", "30"], ["metrics", "--input", "{out}/trajectory.csv"],
          "insufficient data:"),
         (None, ["simulate", "--steps", "0"], "config error: --steps must be >= 1"),
@@ -265,13 +267,19 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, messag
             "training_lengths must be strictly ascending",
         ),
         (b"sweep_kinds = classic classic\n", "kinds", "kinds must not repeat"),
+        # each sweep length is one cell's training_steps
+        (b"sweep_lengths = 1\n", "training_lengths", "training_lengths must lie in"),
+        (
+            b"sweep_lengths = 100000001\n", "training_lengths",
+            "training_lengths must lie in",
+        ),
     ],
     ids=[
         "negative-seed", "zero-substeps", "nan-rho", "zero-order",
         "huge-training-steps", "nan-gain", "non-utf8", "nan-esn-beta",
         "nan-ngrc-beta", "nan-input-scale", "nan-spectral-radius",
         "inf-spectral-radius", "negative-transient", "repeated-key",
-        "repeated-length", "repeated-kind",
+        "repeated-length", "repeated-kind", "one-sample-length", "huge-length",
     ],
 )
 def test_bad_config_exits_2_with_one_line(
@@ -284,6 +292,32 @@ def test_bad_config_exits_2_with_one_line(
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:") and message in err
     assert names in err
+
+
+def test_sweep_of_a_one_sample_length_exits_2_before_any_cell(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("sweep_lengths = 1\n")
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: training_lengths must lie in [2, 100000000]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_metrics_of_a_one_radius_curve_prints_nan_and_no_warning(tmp_path):
+    # on the unit lattice C(r) is positive at one radius only, so the GP
+    # curve has no line to fit; a fresh interpreter shows any warning
+    path = tmp_path / "lattice.csv"
+    write_trajectory_csv(path, Trajectory(0.05, np.array(LATTICE, dtype=float)))
+    src = str(Path(chaoscontrol.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "chaoscontrol.cli", "metrics", "--input", str(path),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert "corr_dim=nan" in done.stdout.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,11 @@ def test_config_validation():
     ExperimentConfig(training_steps=MAX_STEPS, horizon=MAX_STEPS)
     with pytest.raises(ConfigError):
         SweepSpec(training_lengths=(500, 250))
+    # each length is one cell's training_steps, with the same range
+    for lengths in ((1,), (MAX_STEPS + 1,)):
+        with pytest.raises(ConfigError, match=r"training_lengths must lie in \[2, "):
+            SweepSpec(training_lengths=lengths)
+    SweepSpec(training_lengths=(2, MAX_STEPS))
     with pytest.raises(ConfigError):
         SweepSpec(kinds=("classic", "other"))
     # a repeated length or kind would run each of its cells twice

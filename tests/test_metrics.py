@@ -29,7 +29,7 @@ from chaoscontrol.metrics import (
     theiler_neighbours,
 )
 
-from conftest import PLANT_PARAMS, TRAIN_PARAMS, attractor_trajectory
+from conftest import LATTICE, PLANT_PARAMS, TRAIN_PARAMS, attractor_trajectory
 from oracles import (
     benettin_lyapunov,
     mean_log_divergence,
@@ -84,17 +84,20 @@ def test_collapsed_cloud_flagged_degenerate():
         (np.tile([1.0, 2.0, 3.0], (500, 1)), 0, 0),
         (np.array([[0.0, 0.0, 0.0], [1e300, 1e300, 1e300]]), 0, 0),
         (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), GP_N_R, 2),
+        (np.array(LATTICE, dtype=float), GP_N_R, 343 * 342),
     ],
-    ids=["zero-diameter", "inf-diameter", "pairs-beyond-largest-radius"],
+    ids=["zero-diameter", "inf-diameter", "pairs-beyond-largest-radius", "one-radius-lattice"],
 )
 def test_degenerate_gp_diagnostics(points, radii, n_pairs):
     # a cloud with no diameter to scale the radii by has no curve and no
     # pairs; one whose pairs all lie beyond the largest radius keeps its
-    # radii, zero C(r) and n(n-1) pairs; neither is fitted
+    # radii, zero C(r) and n(n-1) pairs; on the unit lattice only the
+    # largest radius reaches a neighbour; a curve of fewer than two
+    # points is not fitted
     nu, diag = correlation_dimension(Trajectory(0.05, points))
     assert np.isnan(nu) and np.isnan(diag.slope) and np.isnan(diag.intercept)
     assert diag.r_squared == 0.0 and diag.n_pairs == n_pairs
-    assert len(diag.r) == len(diag.c) == radii and not diag.c.any()
+    assert len(diag.r) == len(diag.c) == radii and np.count_nonzero(diag.c) < 2
     assert diag.degenerate and not diag.low_fit_quality
 
 
@@ -472,6 +475,13 @@ def test_diagnostics_csv_round_trip(tmp_path, lorenz_classic):
     np.testing.assert_array_equal(dists, stats.lyap_diag.mean_log_dist)
 
 
-def test_too_short_series_rejected():
-    with pytest.raises(InsufficientDataError):
-        largest_lyapunov(Trajectory(0.05, np.zeros((5, 3))))
+@pytest.mark.parametrize("n", [5, 61, 62, 111])
+def test_too_short_series_rejected(n):
+    # the trackable points must hold a pair more than THEILER_WINDOW apart:
+    # the first n of 112 samples are rejected, and all 112 estimate
+    points = attractor_trajectory(TRAIN_PARAMS, 111, seed=0).samples
+    assert len(points) == FOLLOW_STEPS + THEILER_WINDOW + 2 == 112
+    with pytest.raises(InsufficientDataError, match=f"at least 112 samples, got {n}$"):
+        largest_lyapunov(Trajectory(0.05, points[:n]))
+    lam, diag = largest_lyapunov(Trajectory(0.05, points))
+    assert np.isfinite(lam) and not diag.degenerate

@@ -228,7 +228,7 @@ _FIELD_VALUES = {
     float: st.floats(0.0, 1.0, exclude_min=True),
     str: st.sampled_from(PREDICTOR_KINDS),
     Optional[int]: st.none() | st.integers(0, 10**6),
-    tuple[int, ...]: st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True)
+    tuple[int, ...]: st.lists(st.integers(2, 10**6), min_size=1, max_size=5, unique=True)
     .map(sorted).map(tuple),
     tuple[str, ...]: st.lists(
         st.sampled_from(PREDICTOR_KINDS), min_size=1, max_size=len(PREDICTOR_KINDS), unique=True
