@@ -50,25 +50,35 @@ from .modelio import load_model, save_model
 __all__ = ["main"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, metavar="INT", help="override master seed")
-    parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
-    parser.add_argument(
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError: one stderr line and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    common.add_argument("--seed", type=int, metavar="INT", help="override master seed")
+    common.add_argument("--out", default=".", metavar="DIR", help="output directory")
+    common.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit the timestamped header comment for byte-stable output",
     )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaosctl",
         description="Closed-loop chaos control experiments on the Lorenz system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate one regime and write t,x,y,z CSV")
+    def add(name, run, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = add("simulate", _cmd_simulate, "integrate one regime and write t,x,y,z CSV")
     p.add_argument(
         "--state",
         choices=("train", "plant"),
@@ -76,32 +86,25 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which parameter regime to integrate",
     )
     p.add_argument("--steps", type=int, help="sampling steps (default: horizon)")
-    _add_common(p)
 
-    p = sub.add_parser("train", help="fit the configured predictor, save the model")
+    p = add("train", _cmd_train, "fit the configured predictor, save the model")
     p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
-    _add_common(p)
 
-    p = sub.add_parser("predict", help="free-run a saved model")
+    p = add("predict", _cmd_predict, "free-run a saved model")
     p.add_argument("--model", required=True, metavar="PATH", help="saved model file")
     p.add_argument("--steps", type=int, help="prediction steps (default: horizon)")
-    _add_common(p)
 
-    p = sub.add_parser("control", help="full experiment: train, switch regime, control")
+    p = add("control", _cmd_control, "full experiment: train, switch regime, control")
     p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
-    _add_common(p)
 
-    p = sub.add_parser("metrics", help="climate statistics of a trajectory CSV")
+    p = add("metrics", _cmd_metrics, "climate statistics of a trajectory CSV")
     p.add_argument("--input", required=True, metavar="PATH", help="t,x,y,z CSV file")
-    _add_common(p)
 
-    p = sub.add_parser("sweep", help="training-length sweep with reference climates")
+    p = add("sweep", _cmd_sweep, "training-length sweep with reference climates")
     p.add_argument("--jobs", type=int, default=1, metavar="INT", help="worker processes")
-    _add_common(p)
 
-    p = sub.add_parser("snapshot", help="export the exact training series")
+    p = add("snapshot", _cmd_snapshot, "export the exact training series")
     p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
-    _add_common(p)
 
     return parser
 
@@ -126,7 +129,7 @@ def _steps(args, cfg: ExperimentConfig, low: int) -> int:
     return steps
 
 
-def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+def _cmd_simulate(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     steps = _steps(args, cfg, 1)
     kind = "ref_train" if args.state == "train" else "ref_plant"
     traj = attractor_series(cfg, kind, 0, 0, steps)
@@ -137,7 +140,7 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_train(args, cfg: ExperimentConfig) -> int:
+def _cmd_train(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     _, model = prepare_trained_model(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "model.ccm")
@@ -146,7 +149,7 @@ def _cmd_train(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_predict(args, cfg: ExperimentConfig) -> int:
+def _cmd_predict(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     steps = _steps(args, cfg, 0)
     stepper = load_model(args.model).stepper()
     if stepper.dim != 3:
@@ -160,7 +163,7 @@ def _cmd_predict(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_control(args, cfg: ExperimentConfig) -> int:
+def _cmd_control(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     report = run_single(cfg)
     os.makedirs(args.out, exist_ok=True)
     stamp = not args.no_timestamp
@@ -193,7 +196,7 @@ def _cmd_control(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_metrics(args, cfg: ExperimentConfig) -> int:
+def _cmd_metrics(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     traj = read_trajectory_csv(args.input)
     stats = climate_stats(traj)
     print(f"lambda_max={stats.lambda_max:.6f}")
@@ -232,32 +235,20 @@ def _cmd_sweep(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     return 0
 
 
-def _cmd_snapshot(args, cfg: ExperimentConfig) -> int:
+def _cmd_snapshot(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     path = export_training_snapshot(cfg, args.out, timestamp=not args.no_timestamp)
     print(f"wrote {path}")
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "control": _cmd_control,
-    "metrics": _cmd_metrics,
-    "snapshot": _cmd_snapshot,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg, spec = _load_setup(args)
         # bound and finiteness checks catch every overflow and NaN; numpy's
         # warnings about them would only add lines to the one-line report
         with np.errstate(all="ignore"):
-            if args.command == "sweep":
-                return _cmd_sweep(args, cfg, spec)
-            return _COMMANDS[args.command](args, cfg)
+            return args.run(args, cfg, spec)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -236,7 +236,7 @@ def load_config_file(path) -> dict:
     A key given twice is a ConfigError, like an unknown one.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
@@ -599,7 +599,7 @@ def read_trajectory_csv(path) -> Trajectory:
     """
     flat = array("d")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(line for line in fh if not line.startswith("#"))
             if tuple(h.strip() for h in next(reader, ())[:4]) != TRAJECTORY_COLUMNS:
                 raise ConfigError(

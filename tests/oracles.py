@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from chaoscontrol import LorenzParams
+from chaoscontrol import LorenzParams, build_library
 from chaoscontrol.errors import InsufficientDataError
 from chaoscontrol.ridge import RIDGE_RCOND
 
@@ -299,3 +299,56 @@ def timed_csv_bytes(traj, header, phases=None) -> bytes:
     for i, sample in enumerate(traj.samples.tolist()):
         writer.writerow([traj.dt * i, *sample] + ([phases[i]] if phases else []))
     return buf.getvalue().encode()
+
+
+def ngrc_tangent(model, v, w) -> np.ndarray:
+    """Tangent of NG-RC's one-step map v -> v + W_out phi(v) at v, applied to w.
+
+    For k = 1, where the features are monomials of the current sample.
+    By the product rule a monomial's derivative along w sums, over its
+    factor positions in ``index_table``, that factor's tangent times the
+    other factors; the padding column (the appended 1.0) has tangent 0.
+    No Jacobian matrix is formed.
+    """
+    if model.config.k != 1:
+        raise ValueError("the tangent covers k = 1 only")
+    table = build_library(len(v), model.config.orders).index_table
+    padded, tangent = np.append(v, 1.0), np.append(w, 0.0)
+    dphi = np.zeros(table.shape[1])
+    for f in range(len(table)):
+        term = tangent[table[f]]
+        for g in range(len(table)):
+            if g != f:
+                term = term * padded[table[g]]
+        dphi += term
+    return w + model.W_out @ dphi
+
+
+def esn_tangent(model, r, w) -> np.ndarray:
+    """Tangent of the closed-loop reservoir map at r, applied to w.
+
+    The map is r -> r' = tanh(A r + W_in P {r, r^2}), so its tangent is
+    (1 - r'^2) * (A w + W_in P [w; 2 r * w]).  No Jacobian matrix is formed.
+    """
+    r_next = np.tanh(model.A @ r + model.W_in @ (model.P @ augmented_state(r)))
+    drive = model.A @ w + model.W_in @ (model.P @ np.concatenate([w, 2.0 * r * w]))
+    return (1.0 - r_next * r_next) * drive
+
+
+def teacher_forced_exponent(tangent, points, dt: float, seed: int = 0) -> float:
+    """Largest Lyapunov exponent of a learned one-step map, teacher forced.
+
+    Benettin's method on the map: one tangent vector is pushed through
+    ``tangent(p, w)`` at each of ``points`` in turn (states of a true
+    series, not the map's own orbit), renormalized after every step, and
+    the mean log stretch is divided by dt.
+    """
+    w = np.random.default_rng(seed).standard_normal(len(points[0]))
+    w /= np.linalg.norm(w)
+    log_sum = 0.0
+    for p in points:
+        w = tangent(p, w)
+        norm = np.linalg.norm(w)
+        log_sum += math.log(norm)
+        w /= norm
+    return log_sum / (len(points) * dt)

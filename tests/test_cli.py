@@ -12,7 +12,7 @@ from chaoscontrol.cli import main
 from chaoscontrol.control import free_run
 from chaoscontrol.dynamics import Trajectory
 from chaoscontrol.errors import DivergenceError, IllConditionedError
-from chaoscontrol.experiments import write_trajectory_csv
+from chaoscontrol.experiments import ExperimentConfig, attractor_series, write_trajectory_csv
 from chaoscontrol.modelio import load_model
 
 from conftest import LATTICE
@@ -20,6 +20,14 @@ from conftest import LATTICE
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _fresh_env(**overrides):
+    """This environment plus ``overrides``, with the package on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(chaoscontrol.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -149,6 +157,43 @@ def test_metrics_rejects_non_utf8_csv(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
 
 
+def _text_input(directory, command, head):
+    """The argv of ``command`` reading a config (simulate) or trajectory CSV
+    (metrics) that starts with the text ``head``, written as UTF-8."""
+    directory.mkdir()
+    if command == "simulate":
+        path = directory / "utf8.cfg"
+        path.write_text(head + "horizon = 40\n", encoding="utf-8")
+        return ["simulate", "--config", str(path)]
+    path = directory / "utf8.csv"
+    write_trajectory_csv(path, attractor_series(ExperimentConfig(), "ref_train", 0, 0, 300))
+    path.write_bytes(head.encode("utf-8") + path.read_bytes())
+    return ["metrics", "--input", str(path)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_text_inputs_are_utf8_under_an_ascii_locale(tmp_path, command):
+    # without UTF-8 mode the C locale makes open() decode as ASCII
+    argv = _text_input(tmp_path / "in", command, "# \u03c1 = 166.15\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "chaoscontrol.cli", *argv, "--out", str(tmp_path / "out")],
+        env=_fresh_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_text_inputs_may_start_with_a_byte_order_mark(tmp_path, command):
+    outputs = []
+    for name, head in (("plain", ""), ("bom", "\ufeff")):
+        argv = _text_input(tmp_path / name, command, head)
+        out = tmp_path / name / "out"
+        assert run_cli(*argv, "--no-timestamp", "--out", str(out)) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_metrics_rejects_oversized_csv_field(tmp_path, capsys):
     # csv's reader refuses a field over 131,072 characters
     path = tmp_path / "bad.csv"
@@ -230,6 +275,47 @@ def test_bad_inputs_exit_2_with_one_line(tmp_path, capsys, prepare, argv, messag
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["predict"], "the following arguments are required: --model"),
+        (["train", "--kind", "nope"], "argument --kind: invalid choice: 'nope'"),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-command", "missing-model", "bad-kind"],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {message}")
+
+
+COMMON_FLAGS = ("--config", "--seed", "--out", "--no-timestamp")
+
+
+@pytest.mark.parametrize(
+    "command, own_flags",
+    [
+        ("simulate", ("--state", "--steps")),
+        ("train", ("--kind",)),
+        ("predict", ("--model", "--steps")),
+        ("control", ("--kind",)),
+        ("metrics", ("--input",)),
+        ("sweep", ("--jobs",)),
+        ("snapshot", ("--kind",)),
+    ],
+)
+def test_subcommand_help_lists_common_and_own_flags(capsys, command, own_flags):
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--help")
+    assert info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", *COMMON_FLAGS, *own_flags}
+
+
 @pytest.mark.parametrize("command", ["simulate", "train"])
 @pytest.mark.parametrize(
     "content, names, message",
@@ -308,13 +394,10 @@ def test_metrics_of_a_one_radius_curve_prints_nan_and_no_warning(tmp_path):
     # curve has no line to fit; a fresh interpreter shows any warning
     path = tmp_path / "lattice.csv"
     write_trajectory_csv(path, Trajectory(0.05, np.array(LATTICE, dtype=float)))
-    src = str(Path(chaoscontrol.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "chaoscontrol.cli", "metrics", "--input", str(path),
          "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0 and done.stderr == ""
     assert "corr_dim=nan" in done.stdout.splitlines()
@@ -423,11 +506,9 @@ def _fresh_cli_outputs(out, cfg, threads):
     """Bytes written by ``train --kind classic`` and a one-cell sweep, each
     run in a fresh interpreter with the BLAS thread variables unset
     (``threads=None``) or set to ``threads``."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env = {k: v for k, v in _fresh_env().items() if k not in BLAS_THREAD_VARS}
     if threads is not None:
         env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
-    src = str(Path(chaoscontrol.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in (["train", "--kind", "classic"],
                  ["sweep", "--config", str(cfg), "--no-timestamp"]):
         subprocess.run(
