@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         # numpy refuses an array the host cannot hold before filling any of it
-        print(f"out of memory: {exc}", file=sys.stderr)
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(

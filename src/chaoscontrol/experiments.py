@@ -30,7 +30,7 @@ import math
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -107,31 +107,31 @@ class ExperimentConfig:
 
     ``washout=None`` applies the rule t_w = min(1000, N // 5), which meets
     both operating points used throughout (1000 at N=5000, 100 at N=500)
-    and scales in between.
+    and scales in between.  A component setting defaults to its class's value.
     """
 
     kind: str = "classic"
     training_steps: int = 5000
     washout: Optional[int] = None
-    horizon: int = 10_000
+    horizon: int = ControlConfig.n_steps
     master_seed: int = 0
-    dt: float = 0.05
-    substeps: int = 5
+    dt: float = IntegratorConfig.dt
+    substeps: int = IntegratorConfig.substeps
     transient_steps: int = 1000
-    sigma: float = 10.0
+    sigma: float = LorenzParams.sigma
     rho_train: float = 166.15
     rho_plant: float = 167.2
-    lorenz_beta: float = 8.0 / 3.0
-    control_gain: float = 20.0
-    esn_reservoir_dim: int = 300
-    esn_edge_prob: float = 0.02
-    esn_input_scale: float = 0.0084
-    esn_spectral_radius: float = 0.0084
-    esn_ridge_beta: float = 1e-11
-    ngrc_k: int = 1
-    ngrc_s: int = 57
-    ngrc_orders: tuple[int, ...] = (1, 2, 3, 4)
-    ngrc_ridge_beta: float = 1e-4
+    lorenz_beta: float = LorenzParams.beta
+    control_gain: float = ControlConfig.K
+    esn_reservoir_dim: int = EsnConfig.reservoir_dim
+    esn_edge_prob: float = EsnConfig.edge_prob
+    esn_input_scale: float = EsnConfig.input_scale
+    esn_spectral_radius: float = EsnConfig.spectral_radius
+    esn_ridge_beta: float = EsnConfig.ridge_beta
+    ngrc_k: int = NgrcConfig.k
+    ngrc_s: int = NgrcConfig.s
+    ngrc_orders: tuple[int, ...] = NgrcConfig.orders
+    ngrc_ridge_beta: float = NgrcConfig.ridge_beta
 
     def __post_init__(self):
         if self.kind not in PREDICTOR_KINDS:
@@ -150,9 +150,8 @@ class ExperimentConfig:
             ("sigma / rho_train / lorenz_beta", self.train_params),
             ("sigma / rho_plant / lorenz_beta", self.plant_params),
             ("dt / substeps", self.integrator),
-            ("esn_reservoir_dim / esn_edge_prob / esn_input_scale / esn_spectral_radius"
-             " / esn_ridge_beta", lambda: self.esn_config(seed=0, n=self.training_steps)),
-            ("ngrc_k / ngrc_s / ngrc_orders / ngrc_ridge_beta", self.ngrc_config),
+            (" / ".join(_keys("esn_")), lambda: self.esn_config(seed=0, n=self.training_steps)),
+            (" / ".join(_keys("ngrc_")), self.ngrc_config),
             ("control_gain", self.control_config),
         )
         for keys, build in derived:
@@ -179,23 +178,19 @@ class ExperimentConfig:
         return self.washout if self.washout is not None else min(1000, n // 5)
 
     def esn_config(self, seed: int, n: int) -> EsnConfig:
-        return EsnConfig(
-            reservoir_dim=self.esn_reservoir_dim,
-            edge_prob=self.esn_edge_prob,
-            input_scale=self.esn_input_scale,
-            spectral_radius=self.esn_spectral_radius,
-            ridge_beta=self.esn_ridge_beta,
-            washout=self.washout_for(n),
-            seed=seed,
-        )
+        return EsnConfig(**self._settings("esn_"), washout=self.washout_for(n), seed=seed)
 
     def ngrc_config(self) -> NgrcConfig:
-        return NgrcConfig(
-            k=self.ngrc_k,
-            s=self.ngrc_s,
-            orders=tuple(self.ngrc_orders),
-            ridge_beta=self.ngrc_ridge_beta,
-        )
+        return NgrcConfig(**self._settings("ngrc_"))
+
+    def _settings(self, prefix: str) -> dict:
+        """A component's settings by one rule: the field ``<prefix><f>`` sets ``<f>``."""
+        return {key[len(prefix):]: getattr(self, key) for key in _keys(prefix)}
+
+
+def _keys(prefix: str) -> list:
+    """The ExperimentConfig fields named ``<prefix><f>``, in field order."""
+    return [f.name for f in fields(ExperimentConfig) if f.name.startswith(prefix)]
 
 
 @dataclass(frozen=True)

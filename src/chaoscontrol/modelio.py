@@ -226,8 +226,7 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
             # stepper asking build_library for an astronomically large table
             dim = arrays["tap_buffer"].shape[-1]
             _check_shapes(arrays, {"tap_buffer": (cfg.tap_span, dim)})
-            n_monomials = sum(math.comb(cfg.k * dim + o - 1, o) for o in cfg.orders)
-            _check_shapes(arrays, {"W_out": (dim, n_monomials)})
+            _check_shapes(arrays, {"W_out": (dim, cfg.n_features(dim))})
             return NgrcModel(
                 config=cfg,
                 W_out=arrays["W_out"],

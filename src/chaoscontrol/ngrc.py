@@ -70,6 +70,10 @@ class NgrcConfig:
         """Samples needed to evaluate one feature vector: (k-1)*s + 1."""
         return (self.k - 1) * self.s + 1
 
+    def n_features(self, dim: int) -> int:
+        """Monomials of the configured orders over k taps of ``dim`` variables."""
+        return sum(comb(self.k * dim + o - 1, o) for o in self.orders)
+
 
 @dataclass(frozen=True)
 class MonomialLibrary:
@@ -117,8 +121,6 @@ def build_library(input_dim: int, orders: tuple[int, ...]) -> MonomialLibrary:
             itertools.combinations_with_replacement(range(input_dim), order)
         )
     monos.sort(key=lambda m: (len(m), len(set(m)), m))
-    expected = sum(comb(input_dim + o - 1, o) for o in orders)
-    assert len(set(monos)) == len(monos) == expected
     return MonomialLibrary(input_dim=input_dim, monomials=tuple(monos))
 
 
@@ -146,22 +148,22 @@ class NgrcModel:
         return _NgrcStepper(self, self.tap_buffer[-span:])
 
 
-def _products(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _products(padded: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     """Multiply the gathered factor columns of ``table`` left to right."""
-    out = padded[..., table[0]]
+    out = padded.take(table[0], axis=-1, out=out)
     for factor in table[1:]:
         out *= padded[..., factor]
     return out
 
 
-def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
+def poly_features(v: np.ndarray, lib: MonomialLibrary, out=None) -> np.ndarray:
     """Evaluate every library monomial at v, in canonical order.
 
-    Works on one vector or on rows of a 2-D array.  The product order is
-    the contract: each monomial is its variables multiplied left to right
-    in index-tuple order, (x0 * x0) * x2 for (0, 0, 2), and the padding
-    factors of shorter monomials multiply by an exact 1.0 afterwards.  Any
-    reimplementation must keep that order to stay bitwise equal.
+    Works on one vector or on rows of a 2-D array, into ``out`` if given.
+    The product order is the contract: each monomial is its variables
+    multiplied left to right in index-tuple order, (x0 * x0) * x2 for
+    (0, 0, 2), and the padding factors of shorter monomials multiply by an
+    exact 1.0 afterwards.  Any reimplementation must keep that order.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != lib.input_dim:
@@ -169,7 +171,7 @@ def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
             f"expected {lib.input_dim} variables, got {v.shape[-1]}"
         )
     padded = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
-    return _products(padded, lib.index_table)
+    return _products(padded, lib.index_table, out)
 
 
 def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -187,12 +189,14 @@ def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndar
         raise InsufficientDataError(
             f"need more than {cfg.warmup + 1} samples, got {t_total}"
         )
+    # allocated first, so numpy refuses an oversized design before the library is built
+    design = np.empty((t_total - cfg.warmup - 1, cfg.n_features(data.dim)))
     # tap i of row t is sample t - i*s: taps newest first
     taps = np.concatenate(
         [samples[cfg.warmup - i * cfg.s : t_total - 1 - i * cfg.s] for i in range(cfg.k)],
         axis=1,
     )
-    design = poly_features(taps, build_library(data.dim * cfg.k, cfg.orders))
+    poly_features(taps, build_library(data.dim * cfg.k, cfg.orders), out=design)
     targets = samples[cfg.warmup + 1 :] - samples[cfg.warmup : -1]
     return design, targets
 

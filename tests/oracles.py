@@ -7,7 +7,8 @@ agreement is evidence rather than tautology.  The generic RK4 step, the
 reservoir loops, the per-offset divergence curve and the row-by-row CSV
 writer are the exception: they are the textbook arithmetic or encoding
 that the package's fused, buffered or block loops must reproduce bit for
-bit.
+bit.  The ablation-ladder rungs at the end are not oracles either: they
+are variants of the two predictors that known-limit tests score.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ import csv
 import io
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
-from chaoscontrol import LorenzParams, build_library
+from chaoscontrol import LorenzParams, NgrcConfig, NgrcModel, build_library, esn, ridge_fit
 from chaoscontrol.errors import InsufficientDataError
+from chaoscontrol.experiments import _fit_cell, attractor_series
+from chaoscontrol.ngrc import build_design
 from chaoscontrol.ridge import RIDGE_RCOND
 
 
@@ -352,3 +356,45 @@ def teacher_forced_exponent(tangent, points, dt: float, seed: int = 0) -> float:
         log_sum += math.log(norm)
         w /= norm
     return log_sum / (len(points) * dt)
+
+
+def without_recurrence(build_reservoir):
+    """``build_reservoir`` with the sampled recurrent matrix A zeroed, so the
+    reservoir state is tanh(W_in u) of the current input alone."""
+
+    def memoryless(cfg, input_dim):
+        a, w_in = build_reservoir(cfg, input_dim)
+        return a * 0.0, w_in
+
+    return memoryless
+
+
+# Rungs of the ablation ladder between the two predictors: one-step maps
+# that differ from each other in one choice at a time.  Each returns
+# (training series, model) for the classic cell (cfg.training_steps,
+# realization), so every rung of a realization fits the same series.
+
+
+def tanh_rung(cfg, realization: int) -> tuple:
+    """The cell's ESN with A zeroed after sampling: features are the
+    ``cfg.esn_reservoir_dim`` tanh units of the current input and their
+    squares, fit to the next state with ``cfg.esn_ridge_beta``."""
+    with mock.patch.object(esn, "build_reservoir", without_recurrence(esn.build_reservoir)):
+        return _fit_cell(cfg, "classic", cfg.training_steps, realization)
+
+
+def monomial_rung(cfg, realization: int) -> tuple:
+    """NG-RC's monomials of orders 1-4 of the current sample, fit to the
+    next state (not the increment) with NG-RC's default penalty 1e-4.
+
+    The map v -> W phi(v) is returned as the NgrcModel of v -> v + (W - E)
+    phi(v), E picking the linear monomials, so the package's stepper runs it
+    and ``ngrc_tangent`` applies.
+    """
+    n = cfg.training_steps
+    training = attractor_series(cfg, "classic", n, realization, n - 1)
+    ncfg = NgrcConfig(k=1, orders=(1, 2, 3, 4), ridge_beta=1e-4)
+    design, _ = build_design(training, ncfg)
+    w = ridge_fit(design, training.samples[ncfg.warmup + 1 :], ncfg.ridge_beta)
+    linear = np.eye(training.dim, design.shape[1])
+    return training, NgrcModel(ncfg, w - linear, training.samples[-1:].copy())

@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -437,6 +438,42 @@ def test_failed_run_exits_with_one_line(
         # the line says so
         assert "during the discarded relaxation onto the attractor" in err
         assert err.endswith("(step 1)\n")
+
+
+def test_memory_error_without_text_prints_no_dangling_colon(monkeypatch, capsys):
+    def exhausted(args, cfg, spec):
+        raise MemoryError
+
+    monkeypatch.setattr(chaoscontrol.cli, "_cmd_simulate", exhausted)
+    assert run_cli("simulate") == 2
+    assert capsys.readouterr().err == "out of memory\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\n", b"kind = ngrc\nngrc_orders = 1000\n"],
+    ids=["3.5e8-monomials", "order-1000"],
+)
+def test_oversized_feature_library_exits_2_at_once(tmp_path, content):
+    # the design (12 TiB and 18.5 GiB) is allocated before the monomials are
+    # enumerated, so numpy refuses it before the library's tuples fill the
+    # host; the child's address space is capped in case that order breaks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    done = subprocess.run(
+        [sys.executable, "-m", "chaoscontrol.cli", "train", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=_fresh_env(), preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("out of memory: Unable to allocate")
+    assert not (tmp_path / "out").exists()
 
 
 def test_ill_conditioned_fit_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

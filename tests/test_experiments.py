@@ -1,12 +1,22 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chaoscontrol import Trajectory, climate_stats, experiments, simulate
+from chaoscontrol import (
+    ControlConfig,
+    EsnConfig,
+    IntegratorConfig,
+    LorenzParams,
+    NgrcConfig,
+    Trajectory,
+    climate_stats,
+    experiments,
+    simulate,
+)
 from chaoscontrol.errors import ChaosControlError, ConfigError
 from chaoscontrol.experiments import (
     CSV_BLOCK,
@@ -76,6 +86,53 @@ def test_config_validation():
         SweepSpec(kinds=("classic", "classic"))
     with pytest.raises(ConfigError):
         SweepSpec(n_realizations=0)
+
+
+# (ExperimentConfig field, component class, its field, the component built
+# from an ExperimentConfig): every predictor setting but the per-cell washout
+# and seed, by the esn_<f> / ngrc_<f> rule, then the other component settings
+COMPONENT_SETTINGS = [
+    *((f"esn_{f.name}", EsnConfig, f.name, lambda c: c.esn_config(seed=0, n=5000))
+      for f in fields(EsnConfig) if f.name not in ("washout", "seed")),
+    *((f"ngrc_{f.name}", NgrcConfig, f.name, ExperimentConfig.ngrc_config)
+      for f in fields(NgrcConfig)),
+    ("dt", IntegratorConfig, "dt", ExperimentConfig.integrator),
+    ("substeps", IntegratorConfig, "substeps", ExperimentConfig.integrator),
+    ("sigma", LorenzParams, "sigma", ExperimentConfig.train_params),
+    ("lorenz_beta", LorenzParams, "beta", ExperimentConfig.plant_params),
+    ("control_gain", ControlConfig, "K", ExperimentConfig.control_config),
+    ("horizon", ControlConfig, "n_steps", ExperimentConfig.control_config),
+]
+
+
+@pytest.mark.parametrize(
+    "key, cls, name, build", COMPONENT_SETTINGS, ids=[s[0] for s in COMPONENT_SETTINGS]
+)
+def test_component_setting_defaults_to_and_reaches_its_class(key, cls, name, build):
+    default = getattr(cls, name)
+    assert getattr(ExperimentConfig(), key) == default
+    value = default[:2] if name == "orders" else default * 2
+    assert getattr(build(ExperimentConfig(**{key: value})), name) == value
+
+
+def test_default_predictor_configs_are_the_class_defaults():
+    cfg = ExperimentConfig()
+    assert cfg.esn_config(seed=3, n=5000) == EsnConfig(washout=1000, seed=3)
+    assert cfg.ngrc_config() == NgrcConfig()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"esn_edge_prob": 2.0}, "esn_reservoir_dim / esn_edge_prob / esn_input_scale"
+         " / esn_spectral_radius / esn_ridge_beta: edge_prob must lie in [0, 1]"),
+        ({"ngrc_k": 0}, "ngrc_k / ngrc_s / ngrc_orders / ngrc_ridge_beta: k must be >= 1"),
+    ],
+)
+def test_bad_predictor_setting_names_every_key_in_field_order(setting, message):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**setting)
+    assert str(info.value) == message
 
 
 def test_config_file_parsing(tmp_path):

@@ -10,7 +10,7 @@ from chaoscontrol.errors import DIVERGENCE_BOUND, DivergenceError, InsufficientD
 from chaoscontrol.experiments import ExperimentConfig, attractor_series, prepare_trained_model
 from chaoscontrol.ngrc import build_design, poly_features, train
 
-from conftest import X_LAMBDA
+from conftest import X_LAMBDA, X_NU
 from oracles import (
     augmented_state,
     benettin_lyapunov,
@@ -19,9 +19,11 @@ from oracles import (
     esn_harvest,
     esn_tangent,
     monomial_products,
+    monomial_rung,
     ngrc_tangent,
     ridge_normal_equations,
     shift_expand,
+    tanh_rung,
     teacher_forced_exponent,
 )
 
@@ -375,6 +377,20 @@ def _held_out(rho, seed):
     return series, flow
 
 
+def _screen(model, rho, seed):
+    """(``model``'s teacher-forced exponent on the held-out window, the flow's)."""
+    series, flow = _held_out(rho, seed)
+    if isinstance(model, NgrcModel):
+        points, tangent = series.samples[SCREEN_WASHOUT:-1], ngrc_tangent
+    else:
+        # the harvest drops the model's washout: 1000 states at N = 5000
+        assert model.config.washout == SCREEN_WASHOUT
+        points = esn_harvest(model, series.samples)[0][:, : model.config.reservoir_dim]
+        tangent = esn_tangent
+    assert len(points) == SCREEN_STEPS
+    return teacher_forced_exponent(functools.partial(tangent, model), points, series.dt), flow
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "kind, rho, n, low, high",
@@ -389,19 +405,53 @@ def _held_out(rho, seed):
 )
 def test_teacher_forced_expansion_rate_known_limit(kind, rho, n, low, high, seed):
     cfg = ExperimentConfig(kind=kind, rho_train=rho, training_steps=n, master_seed=seed)
-    _, model = prepare_trained_model(cfg)
-    series, flow = _held_out(rho, seed)
-    if kind == "ngrc":
-        points = series.samples[SCREEN_WASHOUT:-1]
-        tangent = functools.partial(ngrc_tangent, model)
-    else:
-        # the harvest drops the model's washout: 1000 states at N = 5000
-        assert model.config.washout == SCREEN_WASHOUT
-        points = esn_harvest(model, series.samples)[0][:, : model.config.reservoir_dim]
-        tangent = functools.partial(esn_tangent, model)
-    assert len(points) == SCREEN_STEPS
-    screen = teacher_forced_exponent(tangent, points, cfg.dt)
+    screen, flow = _screen(prepare_trained_model(cfg)[1], rho, seed)
     assert low <= screen / flow <= high, f"screen {screen:.3f}, flow {flow:.3f}"
+
+
+# Known limit, not a gate (README "Known-failing criteria"): the equal-count
+# rung pair of the ablation ladder between the predictors.  Both rungs fit
+# the classic cell's series (master seed 0, N = 5000) and run free for 10k
+# steps from its end.  17 memoryless tanh units and their squares (34
+# features, next-state target) put realization 1 of 0-5 in the X band and
+# diverge at 2 and 4 (steps 3,682 and 4,565); NG-RC's 34 monomials (next
+# state, beta 1e-4) diverge at all six, by step 385 (10-385).  The screen
+# reads 3.58 and 4.82 times the flow for the tanh rung at master seeds 0
+# and 1, and 5.53 and 7.27 for the monomials.  The 300-unit rung puts all
+# six in band.  A change that moves an outcome updates this test.
+LADDER_STEPS = 10_000
+
+
+def _ladder_outcome(model) -> str:
+    """'in' or 'out' of the X band after a free run, or 'diverged'."""
+    try:
+        stats = climate_stats(free_run(model.stepper(), LADDER_STEPS, 0.05))
+    except DivergenceError:
+        return "diverged"
+    lam_in = X_LAMBDA[0] <= stats.lambda_max <= X_LAMBDA[1]
+    return "in" if lam_in and X_NU[0] <= stats.corr_dim <= X_NU[1] else "out"
+
+
+@pytest.mark.parametrize(
+    "rung, cfg, outcomes",
+    [
+        (tanh_rung, ExperimentConfig(esn_reservoir_dim=17),
+         ["out", "in", "diverged", "out", "diverged", "out"]),
+        (monomial_rung, ExperimentConfig(), ["diverged"] * 6),
+        (tanh_rung, ExperimentConfig(), ["in"] * 6),
+    ],
+    ids=["tanh-17", "monomials-34", "tanh-300"],
+)
+def test_equal_count_rungs_known_limit(rung, cfg, outcomes):
+    assert [_ladder_outcome(rung(cfg, r)[1]) for r in range(6)] == outcomes
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_equal_count_rungs_expansion_rate_known_limit(seed):
+    cfg = ExperimentConfig(esn_reservoir_dim=17, master_seed=seed)
+    tanh, flow = _screen(tanh_rung(cfg, 0)[1], cfg.rho_train, seed)
+    monomials, _ = _screen(monomial_rung(cfg, 0)[1], cfg.rho_train, seed)
+    assert 3 * flow < tanh < monomials, f"{tanh:.3f}, {monomials:.3f}, flow {flow:.3f}"
 
 
 @pytest.mark.parametrize("kind", ["ngrc", "classic"])

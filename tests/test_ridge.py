@@ -20,7 +20,7 @@ from chaoscontrol.ngrc import build_design
 from chaoscontrol.ridge import RIDGE_RCOND
 
 from conftest import in_x_band
-from oracles import esn_harvest, ridge_normal_equations, ridge_svd
+from oracles import esn_harvest, ridge_normal_equations, ridge_svd, without_recurrence
 
 
 def _instance(rng, rows, cols, targets=3):
@@ -336,11 +336,6 @@ def test_reservoir_memory_unused_known_limit(monkeypatch):
     # cell moves into the X band (lambda 0.434 as sampled, 0.521 zeroed).
     cell = (ExperimentConfig(), "classic", 5000, 7)
     assert not in_x_band(_run_cell(cell))
-    sampled = chaoscontrol.esn.build_reservoir
-
-    def memoryless(cfg, input_dim):
-        a, w_in = sampled(cfg, input_dim)
-        return a * 0.0, w_in
-
+    memoryless = without_recurrence(chaoscontrol.esn.build_reservoir)
     monkeypatch.setattr(chaoscontrol.esn, "build_reservoir", memoryless)
     assert in_x_band(_run_cell(cell))
