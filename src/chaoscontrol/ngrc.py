@@ -17,7 +17,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import InsufficientDataError, check_prediction
+from .errors import ConfigError, InsufficientDataError, check_prediction
 from .ridge import ridge_fit
 
 __all__ = [
@@ -29,6 +29,17 @@ __all__ = [
     "build_design",
     "train",
 ]
+
+# upper bound on a monomial library's index table, largest order times
+# monomial count: the table takes 8 bytes an entry and the index tuples it
+# is built from as much again or more, so ten million entries already take
+# about 0.3 GB
+_MAX_LIBRARY_ENTRIES = 10_000_000
+
+
+def _monomial_count(input_dim: int, orders) -> int:
+    """Monomials of the given orders over ``input_dim`` variables."""
+    return sum(comb(input_dim + o - 1, o) for o in orders)
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,7 @@ class NgrcConfig:
 
     def n_features(self, dim: int) -> int:
         """Monomials of the configured orders over k taps of ``dim`` variables."""
-        return sum(comb(self.k * dim + o - 1, o) for o in self.orders)
+        return _monomial_count(self.k * dim, self.orders)
 
 
 @dataclass(frozen=True)
@@ -112,9 +123,19 @@ def build_library(input_dim: int, orders: tuple[int, ...]) -> MonomialLibrary:
 
     Cached: the library is frozen, so the trainer and every stepper share
     one instance per (input_dim, orders).
+
+    Raises:
+        ConfigError: the index table would exceed ``_MAX_LIBRARY_ENTRIES``;
+            checked before any monomial is enumerated.
     """
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
+    count, width = _monomial_count(input_dim, orders), max(orders, default=0)
+    if count * width > _MAX_LIBRARY_ENTRIES:
+        raise ConfigError(
+            f"NG-RC library of {count} monomials up to order {width} exceeds "
+            f"{_MAX_LIBRARY_ENTRIES} index table entries"
+        )
     monos = []
     for order in orders:
         monos.extend(

@@ -14,9 +14,15 @@ closed-loop prediction.
 
 With X = Q R, the SVD of the small factor R = U_R diag(s) V^T is the SVD of
 X with U = Q U_R, so the readout ``V diag(s/(s^2 + beta)) U^T Y`` only
-needs Q^T Y.  ``scipy.linalg.qr_multiply`` applies the reflectors to Y
-without ever forming Q, and neither Q nor U (as tall as the design) is
-built.  R is factored by scipy's gesdd, which returns the arrays it fills;
+needs Q^T Y.  LAPACK's dgeqrf factors the design in place and dormqr
+applies its reflectors to Y without ever forming Q; neither Q nor U (as
+tall as the design) is built.  These are the two calls, with the same
+arguments and workspace sizes, that ``scipy.linalg.qr_multiply`` makes,
+but that wrapper also allocates a finiteness mask of the whole design and
+a ``triu`` copy of R while the design is alive.  Here the design is
+tested through its minimum and maximum, and only R's upper triangle,
+packed, outlives it; R is then unpacked into a zeroed column-major array
+that scipy's gesdd factors in place.  gesdd returns the arrays it fills;
 numpy's SVD fills private ones and copies them out, about 5 MB more at
 the peak of a 600-feature fit.  Directions below the ``RIDGE_RCOND``
 numerical-rank cutoff are excluded.  No column scaling is applied;
@@ -27,12 +33,13 @@ array of a fit, so it is never copied more than once: a caller that owns
 a column-major float64 design (the reservoir harvest) passes
 ``overwrite_design=True`` and the QR overwrites it, and any other design
 is copied once into column-major order.  Either way the factored buffer
-is released before the SVD, so a caller that keeps no reference of its
-own has it freed before the SVD's workspace is allocated.  The layout
-does not change the arithmetic: C- and F-order inputs give the same
-readout bit for bit.  The layout of the SVD factors does change it:
-gesdd returns them column-major, on which the readout products take
-another BLAS path, so they are copied to row-major order first.
+is released before R is unpacked, so a caller that keeps no reference of
+its own has it freed before the SVD, and the design alone sets the fit's
+memory peak.  The layout does not change the arithmetic: C- and F-order
+inputs give the same readout bit for bit.  The layout of the SVD factors
+does change it: gesdd returns them column-major, on which the readout
+products take another BLAS path, so they are copied to row-major order
+first.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import qr_multiply, svd
+from scipy.linalg import lapack, svd
 
 from .errors import IllConditionedError
 
@@ -81,7 +88,10 @@ def ridge_fit(
         raise ValueError("design and targets must be 2-d with matching row counts")
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("ridge penalty must be finite and non-negative")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    # min and max propagate NaN and reach +-inf, so the design is tested
+    # without a mask of its own size; an empty design has neither
+    finite = x.size == 0 or (math.isfinite(x.min()) and math.isfinite(x.max()))
+    if not (finite and np.isfinite(y).all()):
         raise IllConditionedError(
             f"design or targets hold NaN or inf (beta={beta:g})"
         )
@@ -92,18 +102,32 @@ def ridge_fit(
 
     if not (overwrite_design and x.flags.f_contiguous and x.flags.writeable):
         x = np.array(x, order="F")
+    k = min(x.shape)
     try:
-        # (Y^T Q)^T = Q^T Y and R of the economy QR, Q never formed; the
-        # reflectors overwrite x, which is dropped before the SVD
-        yt_q, r = qr_multiply(x, y.T, mode="right", overwrite_a=True)
+        # R above the diagonal and the reflectors below overwrite x
+        x, tau = _lapack("dgeqrf", x, overwrite_a=1)
+        # (Y^T Q)^T = Q^T Y with Q never formed.  qr_multiply's choice of
+        # side: from the left on Y when Y^T is C-contiguous (one target
+        # column), else from the right on Y^T
+        if y.T.flags.c_contiguous:
+            (yt_q,) = _lapack("dormqr", "L", "T", x[:, :k], tau, y)
+            yt_q = yt_q.T
+        else:
+            (yt_q,) = _lapack("dormqr", "R", "N", x[:, :k], tau, y.T)
+        yt_q = yt_q[:, :k]
+        # only R's upper triangle, packed, outlives the design
+        upper = np.arange(x.shape[1]) >= np.arange(k)[:, None]
+        packed = x[:k][upper]
         del design, x
-        if not np.isfinite(r).all():
+        if not np.isfinite(packed).all():
             # a finite design whose column norms overflow: an inf in R has
             # no meaningful SVD, and scipy's raises ValueError on a NaN
             raise np.linalg.LinAlgError("non-finite R")
-        # qr_multiply returns R row-major and gesdd factors a column-major
-        # array, so scipy copies R first: ``overwrite_a`` would save nothing
-        u_r, s, vt = svd(r, full_matrices=False, check_finite=False)
+        # column-major, as gesdd factors it: scipy makes no copy of its own
+        r = np.zeros(upper.shape, order="F")
+        r[upper] = packed
+        del packed
+        u_r, s, vt = svd(r, full_matrices=False, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"QR or SVD of the design matrix failed (beta={beta:g})"
@@ -132,3 +156,18 @@ def ridge_fit(
     # contiguous array, which breaks bit-for-bit reproducibility of readouts
     # that round-trip through serialization.
     return np.ascontiguousarray(w.T)
+
+
+def _lapack(name, *args, **kwargs):
+    """Call scipy's LAPACK wrapper ``name`` at its queried optimal workspace.
+
+    As in scipy's ``safecall``, the query gets the same arguments as the
+    call: an ``overwrite_a`` left out of it would have f2py copy the design
+    just to ask for the size.
+    """
+    routine = getattr(lapack, name)
+    *_, work, info = routine(*args, lwork=-1, **kwargs)
+    *out, work, info = routine(*args, lwork=int(work[0].real), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {name}")
+    return out

@@ -3,10 +3,11 @@
 Each oracle recomputes a quantity the package derives, through a
 different algorithm (explicit normal equations, tangent-space exponent
 integration, exhaustive enumeration, the SVD of the whole design), so
-agreement is evidence rather than tautology.  The generic RK4 step, the
-reservoir loops, the per-offset divergence curve and the row-by-row CSV
-writer are the exception: they are the textbook arithmetic or encoding
-that the package's fused, buffered or block loops must reproduce bit for
+agreement is evidence rather than tautology.  The ``qr_multiply`` ridge
+route, the generic RK4 step, the reservoir loops, the per-offset
+divergence curve and the row-by-row CSV writer are the exception: they
+are the library route, textbook arithmetic or encoding that the
+package's direct, fused, buffered or block loops must reproduce bit for
 bit.  The ablation-ladder rungs at the end are not oracles either: they
 are variants of the two predictors that known-limit tests score.
 """
@@ -20,6 +21,7 @@ import math
 from unittest import mock
 
 import numpy as np
+from scipy.linalg import qr_multiply, svd
 
 from chaoscontrol import LorenzParams, NgrcConfig, NgrcModel, build_library, esn, ridge_fit
 from chaoscontrol.errors import InsufficientDataError
@@ -54,6 +56,32 @@ def ridge_svd(design: np.ndarray, targets: np.ndarray, beta: float) -> tuple:
     keep = s >= RIDGE_RCOND * s[0]
     factors = np.where(keep, s / (s * s + beta), 0.0)
     return ((vt.T * factors) @ (u.T @ y)).T, s, factors
+
+
+def ridge_qr_multiply(design, targets, beta: float, *, overwrite_design: bool = False):
+    """Ridge readout through ``scipy.linalg.qr_multiply``, Q never formed.
+
+    The wrapper runs dgeqrf and dormqr, as ``ridge_fit`` does directly, but
+    it also masks the whole design for finiteness and copies R through
+    ``triu`` while the design is alive.  Same filter factors, row-major SVD
+    factors and products as ``ridge_fit``, so the readouts must agree bit
+    for bit.
+    """
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if not (overwrite_design and x.flags.f_contiguous and x.flags.writeable):
+        x = np.array(x, order="F")
+    yt_q, r = qr_multiply(x, y.T, mode="right", overwrite_a=True)
+    u_r, s, vt = svd(r, full_matrices=False, check_finite=False)
+    u_r, vt = np.ascontiguousarray(u_r), np.ascontiguousarray(vt)
+    with np.errstate(over="ignore"):
+        denom = s * s + beta
+        factors = np.where(
+            (s >= RIDGE_RCOND * s[0]) & (denom > 0),
+            np.divide(s, np.where(denom > 0, denom, 1.0)),
+            0.0,
+        )
+    return np.ascontiguousarray(((vt.T * factors) @ (u_r.T @ yt_q.T)).T)
 
 
 def lorenz_deriv(u, p: LorenzParams) -> np.ndarray:

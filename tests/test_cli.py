@@ -3,6 +3,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,27 @@ def test_oversized_feature_library_exits_2_at_once(tmp_path, content):
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("out of memory: Unable to allocate")
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_order_library_exits_2_at_once(tmp_path):
+    # the 2 x 501,501 design fits (8 MB), but the library's 501,501 index
+    # tuples and its (1000, 501501) index table would take about 4 GB each;
+    # the library is refused before they are built, under a capped address
+    # space in case it is not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = ngrc\nngrc_orders = 1000\ntraining_steps = 60\n")
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "chaoscontrol.cli", "train", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=_fresh_env(), preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert time.monotonic() - start < 10
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("config error: NG-RC library of 501501 monomials")
     assert not (tmp_path / "out").exists()
 
 

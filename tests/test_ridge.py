@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,13 @@ from chaoscontrol.ngrc import build_design
 from chaoscontrol.ridge import RIDGE_RCOND
 
 from conftest import in_x_band
-from oracles import esn_harvest, ridge_normal_equations, ridge_svd, without_recurrence
+from oracles import (
+    esn_harvest,
+    ridge_normal_equations,
+    ridge_qr_multiply,
+    ridge_svd,
+    without_recurrence,
+)
 
 
 def _instance(rng, rows, cols, targets=3):
@@ -231,6 +238,22 @@ def test_readout_matches_numpy_svd_bit_for_bit(monkeypatch, seed0_classic, case)
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-6])
+@pytest.mark.parametrize("overwrite", [False, True], ids=["copy", "overwrite"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("targets", [1, 3])
+@pytest.mark.parametrize("rows", [40, 12, 7], ids=["tall", "square", "wide"])
+def test_readout_matches_qr_multiply_bit_for_bit(rows, targets, order, overwrite, beta):
+    # dgeqrf and dormqr called directly, with qr_multiply's side, transpose
+    # and workspace sizes, and R unpacked from its triangle: the same
+    # routines on the same values, so the same readout to the last bit
+    rng = np.random.default_rng(17)
+    x, y = _instance(rng, rows, 12, targets)
+    want = ridge_qr_multiply(np.array(x, order=order), y, beta, overwrite_design=overwrite)
+    got = ridge_fit(np.array(x, order=order), y, beta, overwrite_design=overwrite)
+    assert got.tobytes() == want.tobytes()
+
+
 def _read_only_fortran(x):
     x = np.array(x, order="F")
     x.flags.writeable = False
@@ -275,9 +298,10 @@ def test_overwrite_request_factors_in_place():
 )
 def test_copying_fit_keeps_design_and_holds_one_copy(order, overwrite):
     # the caller's design is left bit for bit as it was.  Traced peak over
-    # the design's bytes: 1.18 measured with the one column-major copy plus
-    # the 300x300 factor R; a C-order copy, which LAPACK copies twice more,
-    # reads 3.0, and a strided design passed on to LAPACK as it is reads 2.0
+    # the design's bytes: 1.11 measured with the one column-major copy plus
+    # the packed triangle of the 300x300 factor R; a C-order copy, which
+    # LAPACK copies twice more, reads 3.0, and a strided design passed on to
+    # LAPACK as it is reads 2.0
     rng = np.random.default_rng(14)
     x, y = _instance(rng, 2000, 300)
     design = {
@@ -294,6 +318,40 @@ def test_copying_fit_keeps_design_and_holds_one_copy(order, overwrite):
         tracemalloc.stop()
     assert design.tobytes() == before.tobytes()
     assert x.nbytes <= peak <= 1.3 * x.nbytes
+
+
+@pytest.mark.parametrize("rows", [3999, 399], ids=["tall-3999x600", "wide-399x600"])
+def test_only_r_outlives_a_handed_over_design(monkeypatch, rows):
+    # a design handed over in place is freed before the SVD, and while it
+    # lived nothing as large as R (2.75 and 1.83 MiB) sat beside it.  Traced
+    # peak over the design's bytes at the SVD's entry: 1.82 MiB (tall) and
+    # 1.46 MiB (wide) with R's packed triangle and its mask, against 3.16
+    # and 2.12 MiB through qr_multiply's finiteness mask and triu copy of R
+    rng = np.random.default_rng(16)
+    y = rng.standard_normal((rows, 3))
+    k, n = min(rows, 600), 600
+    refs, seen = [], {}
+    svd = chaoscontrol.ridge.svd
+
+    def spy(*args, **kwargs):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["freed"] = refs[0]() is None
+        return svd(*args, **kwargs)
+
+    def design():
+        x = rng.standard_normal((n, rows)).T  # column-major, no copy
+        refs.append(weakref.ref(x))
+        seen["nbytes"] = x.nbytes
+        return x
+
+    monkeypatch.setattr(chaoscontrol.ridge, "svd", spy)
+    tracemalloc.start()
+    try:
+        ridge_fit(design(), y, 1e-6, overwrite_design=True)
+    finally:
+        tracemalloc.stop()
+    assert seen["freed"]
+    assert seen["peak"] - seen["nbytes"] < k * n * 8
 
 
 def test_rank_cutoff_keeps_a2_cells_alive_known_limit(monkeypatch):
