@@ -5,9 +5,8 @@ Subcommands cover the full pipeline: ``simulate`` raw trajectories,
 closed-loop experiment, ``metrics`` on any trajectory CSV, ``sweep`` the
 data-efficiency grid, and ``snapshot`` of the exact training series.
 
-Exit codes: 0 success, 2 configuration/usage error, a predictor that
-cannot be fitted or an array too large to allocate, 3 numerical divergence
-or a failed integration in a single-run mode.
+Exit codes: 0 success; a failure prints one stderr line and exits with the
+code (2 or 3) in README "CLI"'s table, which ``errors.py`` declares.
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .control import free_run
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    IllConditionedError,
-    InsufficientDataError,
-    IntegrationError,
-    ReservoirSamplingError,
-)
+from .errors import ChaosControlError, ConfigError
 from .experiments import (
     MAX_STEPS,
     PREDICTOR_KINDS,
@@ -249,30 +241,16 @@ def main(argv=None) -> int:
         # warnings about them would only add lines to the one-line report
         with np.errstate(all="ignore"):
             return args.run(args, cfg, spec)
+    except ChaosControlError as exc:
+        print(exc.report(), file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return 2
-    except (ReservoirSamplingError, IllConditionedError) as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # numpy refuses an array the host cannot hold before filling any of it
         print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(
-            f"divergence: {exc} (phase {exc.phase}, step {exc.step})", file=sys.stderr
-        )
-        return 3
-    except IntegrationError as exc:
-        print(f"integration error: {exc} (step {exc.step})", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -5,15 +5,28 @@ DIVERGENCE_BOUND = 1e3
 
 
 class ChaosControlError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Each class declares its failure's ``chaosctl`` label and exit code and a
+    sweep cell's status; ``report`` appends the attributes in ``details``.
+    """
+
+    label = "error"
+    exit_code = 2
+    status = "failed"
+    details = ()
+
+    def report(self) -> str:
+        where = ", ".join(f"{name} {getattr(self, name)}" for name in self.details)
+        return f"{self.label}: {self}" + (f" ({where})" if where else "")
 
 
 class IntegrationError(ChaosControlError):
-    """Integrator produced a non-finite state.
+    """Integrator produced a non-finite state, first at step ``step``."""
 
-    Attributes:
-        step: index of the step at which the state became non-finite.
-    """
+    label = "integration error"
+    exit_code = 3
+    details = ("step",)
 
     def __init__(self, message, step=None):
         super().__init__(message)
@@ -21,12 +34,13 @@ class IntegrationError(ChaosControlError):
 
 
 class DivergenceError(ChaosControlError):
-    """A closed-loop prediction or control run exceeded its magnitude bound.
+    """A closed-loop prediction or control run exceeded its magnitude bound;
+    ``phase`` ('predict' or 'control') and ``step`` say where."""
 
-    Attributes:
-        phase: which stage diverged ('predict' or 'control').
-        step: index of the offending step.
-    """
+    label = "divergence"
+    exit_code = 3
+    status = "diverged"
+    details = ("phase", "step")
 
     def __init__(self, message, phase=None, step=None):
         super().__init__(message)
@@ -54,15 +68,19 @@ def check_prediction(v, step: int) -> list:
 
 class IllConditionedError(ChaosControlError):
     """The regularized normal-equations solve failed."""
+    label = "training failed"
 
 
 class InsufficientDataError(ChaosControlError):
     """A trajectory is too short for the requested operation."""
+    label = "insufficient data"
 
 
 class ReservoirSamplingError(ChaosControlError):
     """Repeated reservoir draws all had zero spectral radius."""
+    label = "training failed"
 
 
 class ConfigError(ChaosControlError):
     """Invalid configuration value or unparseable config file."""
+    label = "config error"

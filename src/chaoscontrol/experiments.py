@@ -46,7 +46,7 @@ from .dynamics import (
     simulate,
     step_rk4,
 )
-from .errors import ChaosControlError, ConfigError, DivergenceError
+from .errors import ChaosControlError, ConfigError
 from .esn import EsnConfig
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
@@ -88,6 +88,10 @@ REFERENCE_KINDS = ("ref_train", "ref_plant")
 # upper bound on training_steps, horizon and transient_steps: one (n + 1, 3)
 # float64 series of this many intervals already takes 2.4 GB
 MAX_STEPS = 100_000_000
+# upper bound on a sweep's cells, reference cells included: run_sweep holds
+# every cell's task, future and row at once, about 2 KB a cell under a
+# worker pool, and at A4's mean of 40 ms a cell this many run over an hour
+MAX_SWEEP_CELLS = 100_000
 
 _KIND_IDS = {"classic": 0, "ngrc": 1, "ref_train": 2, "ref_plant": 3}
 _STREAM_TRAJECTORY = 0
@@ -214,6 +218,9 @@ class SweepSpec:
             raise ConfigError("kinds must not repeat")
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be >= 1")
+        cells = (len(self.kinds) * len(lengths) + len(REFERENCE_KINDS)) * self.n_realizations
+        if cells > MAX_SWEEP_CELLS:
+            raise ConfigError(f"the sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
 
 
 # config-file keys of the SweepSpec fields; every other key is an
@@ -432,10 +439,8 @@ def _run_cell(args) -> SweepRow:
         stats = climate_stats(series)
         lam, nu = stats.lambda_max, stats.corr_dim
         status = "ok" if math.isfinite(lam) and math.isfinite(nu) else "degenerate"
-    except DivergenceError:
-        status = "diverged"
-    except ChaosControlError:
-        status = "failed"
+    except ChaosControlError as exc:
+        status = exc.status
     return SweepRow(kind, n, realization, float(lam), float(nu), status)
 
 

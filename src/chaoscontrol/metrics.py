@@ -114,9 +114,6 @@ def _attractor_diameter(points: np.ndarray) -> float:
     return 2.0 * float(np.sqrt((centered**2).sum(axis=1).max()))
 
 
-# k-d tree build flags: on 10k-sample attractor series an unbalanced,
-# non-compacted tree builds and traverses fastest
-_TREE_FLAGS = {"compact_nodes": False, "balanced_tree": False}
 # first-stage neighbour count of the Theiler-window search; the first
 # valid neighbour on attractor series sits at rank <= 5
 _FIRST_QUERY_K = 8
@@ -144,9 +141,7 @@ def _median_halves(points: np.ndarray) -> tuple:
 
 def _cross_pair_counts(left: np.ndarray, right: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     """Pairs with one point in each set, per bin, each counted once."""
-    return cKDTree(left, **_TREE_FLAGS).count_neighbors(
-        cKDTree(right, **_TREE_FLAGS), r_grid, cumulative=False
-    )
+    return cKDTree(left).count_neighbors(cKDTree(right), r_grid, cumulative=False)
 
 
 def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
@@ -160,7 +155,7 @@ def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     a binary search over the radii instead of testing every radius.
     """
     if len(points) <= _GP_BLOCK:
-        tree = cKDTree(points, **_TREE_FLAGS)
+        tree = cKDTree(points)
         return tree.count_neighbors(tree, r_grid, cumulative=False)
     left, right = _median_halves(points)
     return (
@@ -340,7 +335,7 @@ def theiler_neighbours(points: np.ndarray, window: int) -> tuple[np.ndarray, np.
     rows are queried ``_REDO_BLOCK`` at a time with the same result.
     """
     m = points.shape[0]
-    tree = cKDTree(points, **_TREE_FLAGS)
+    tree = cKDTree(points)
     k_full = min(2 * window + 2, m)
     k = min(_FIRST_QUERY_K, k_full)
     idx = tree.query(points, k=k)[1]

@@ -177,16 +177,26 @@ def _read_arrays(spec: str, payload: bytes) -> dict:
         arrays[name] = np.frombuffer(
             payload, dtype="<f8", count=count, offset=offset
         ).reshape(shape).copy()
+        # training writes only finite arrays; a NaN would first surface as
+        # a divergence of the model that holds it
+        if not np.isfinite(arrays[name]).all():
+            raise ConfigError(f"malformed model file: array {name} holds a non-finite value")
         offset += nbytes
     if offset != len(payload):
         raise ConfigError("model payload longer than declared shapes")
     return arrays
 
 
+def _array(arrays: dict, name: str) -> np.ndarray:
+    if name not in arrays:
+        raise ConfigError(f"the model file declares no array {name}")
+    return arrays[name]
+
+
 def _check_shapes(arrays: dict, expected: dict) -> None:
-    """Every named array must have the shape the header's config implies."""
+    """Every named array must be declared with the shape the header's config implies."""
     for name, shape in expected.items():
-        got = arrays[name].shape
+        got = _array(arrays, name).shape
         if got != shape:
             raise ConfigError(
                 f"array {name} is {'x'.join(map(str, got))}, the header "
@@ -208,7 +218,7 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
         arrays = _read_arrays(fields["arrays"], payload)
         if kind == "classic":
             cfg = _config_from_header(EsnConfig, fields)
-            d, dim = cfg.reservoir_dim, arrays["P"].shape[0]
+            d, dim = cfg.reservoir_dim, _array(arrays, "P").shape[0]
             _check_shapes(arrays, {
                 "A": (d, d), "W_in": (d, dim), "P": (dim, 2 * d), "r": (d,),
             })
@@ -224,7 +234,7 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
             # tap_buffer first, so the payload bounds k; then the monomial
             # count, so a corrupt order is rejected here rather than by the
             # stepper asking build_library for an astronomically large table
-            dim = arrays["tap_buffer"].shape[-1]
+            dim = _array(arrays, "tap_buffer").shape[-1]
             _check_shapes(arrays, {"tap_buffer": (cfg.tap_span, dim)})
             _check_shapes(arrays, {"W_out": (dim, cfg.n_features(dim))})
             return NgrcModel(

@@ -1,3 +1,4 @@
+import builtins
 import os
 import re
 import resource
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import chaoscontrol
+from chaoscontrol import errors
 from chaoscontrol.cli import main
 from chaoscontrol.control import free_run
 from chaoscontrol.dynamics import Trajectory
-from chaoscontrol.errors import DivergenceError, IllConditionedError
+from chaoscontrol.errors import ChaosControlError, DivergenceError, IllConditionedError
 from chaoscontrol.experiments import ExperimentConfig, attractor_series, write_trajectory_csv
 from chaoscontrol.modelio import load_model
 
@@ -450,6 +452,56 @@ def test_memory_error_without_text_prints_no_dangling_colon(monkeypatch, capsys)
     assert capsys.readouterr().err == "out of memory\n"
 
 
+def test_package_error_no_clause_names_exits_2_with_one_line(monkeypatch, capsys):
+    class UnnamedError(ChaosControlError):
+        pass
+
+    def fail(args, cfg, spec):
+        raise UnnamedError("a failure of a new kind")
+
+    monkeypatch.setattr(chaoscontrol.cli, "_cmd_simulate", fail)
+    assert run_cli("simulate") == 2
+    assert capsys.readouterr().err == "error: a failure of a new kind\n"
+
+
+def _readme_failure_table() -> list:
+    """(class name, label, exit code, sweep status) rows of README "CLI"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        tuple(cell.strip(" `") for cell in line.strip("|").split("|"))
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+
+
+def test_readme_failure_table_matches_the_error_classes(monkeypatch, capsys):
+    rows = _readme_failure_table()
+    package = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, ChaosControlError)
+    }
+    assert {row[0] for row in rows} == package | {"OSError", "MemoryError"}
+    cfg = ExperimentConfig()
+    for name, label, code, status in rows:
+        cls = getattr(errors, name, None) or getattr(builtins, name)
+
+        def fail(*args):
+            raise cls("boom")
+
+        monkeypatch.setattr(chaoscontrol.cli, "_cmd_simulate", fail)
+        assert run_cli("simulate") == int(code), name
+        assert capsys.readouterr().err.startswith(f"{label}: boom"), name
+        # a sweep cell records a package error's status; anything else stops the sweep
+        monkeypatch.setattr(chaoscontrol.experiments, "attractor_series", fail)
+        if issubclass(cls, ChaosControlError):
+            assert chaoscontrol.experiments._run_cell((cfg, "ref_train", 0, 0)).status == status
+        else:
+            assert status == "none, the sweep stops"
+            with pytest.raises(cls):
+                chaoscontrol.experiments._run_cell((cfg, "ref_train", 0, 0))
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -495,6 +547,26 @@ def test_huge_order_library_exits_2_at_once(tmp_path):
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("config error: NG-RC library of 501501 monomials")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_sweep_grid_exits_2_before_any_cell(tmp_path):
+    # 100,000,000 realizations of the default 20 cells each; the grid is
+    # refused before its cell list is built, under a capped address space in
+    # case it is not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep_realizations = 100000000\n")
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "chaoscontrol.cli", "sweep", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=_fresh_env(), preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert time.monotonic() - start < 10
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("config error: the sweep grid has 2000000000 cells")
     assert not (tmp_path / "out").exists()
 
 

@@ -88,6 +88,19 @@ def test_config_validation():
         SweepSpec(n_realizations=0)
 
 
+def test_sweep_spec_bounds_its_cell_count():
+    # (2 kinds x 3 lengths + 2 reference kinds) cells per realization
+    lengths = (250, 500, 1000)
+    per_realization = 2 * len(lengths) + 2
+    allowed = experiments.MAX_SWEEP_CELLS // per_realization
+    SweepSpec(training_lengths=lengths, n_realizations=allowed)
+    cells = per_realization * (allowed + 1)
+    assert cells > experiments.MAX_SWEEP_CELLS
+    with pytest.raises(ConfigError, match=f"the sweep grid has {cells} cells"):
+        SweepSpec(training_lengths=lengths, n_realizations=allowed + 1)
+    SweepSpec()  # the default grid: 1,800 predictor and 200 reference cells
+
+
 # (ExperimentConfig field, component class, its field, the component built
 # from an ExperimentConfig): every predictor setting but the per-cell washout
 # and seed, by the esn_<f> / ngrc_<f> rule, then the other component settings

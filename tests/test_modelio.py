@@ -18,7 +18,12 @@ from chaoscontrol.cli import main as cli_main
 from chaoscontrol.control import free_run
 from chaoscontrol.errors import ConfigError, DivergenceError
 from chaoscontrol.esn import train as esn_train
-from chaoscontrol.experiments import PREDICTOR_KINDS, ExperimentConfig, SweepSpec
+from chaoscontrol.experiments import (
+    MAX_SWEEP_CELLS,
+    PREDICTOR_KINDS,
+    ExperimentConfig,
+    SweepSpec,
+)
 from chaoscontrol.modelio import FORMAT_MAGIC, field_parsers, format_fields
 from chaoscontrol.ngrc import build_library
 from chaoscontrol.ngrc import train as ngrc_train
@@ -206,14 +211,53 @@ def test_repeated_array_name_is_config_error(tmp_path, capsys, trained_ngrc):
     _assert_config_error(path, tmp_path, capsys)
 
 
-def _assert_config_error(path, tmp_path, capsys):
-    """Loading ``path`` raises ConfigError; predict exits 2 with one line."""
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "minus-inf"])
+@pytest.mark.parametrize(
+    "model, last", [("trained_esn", "r"), ("trained_ngrc", "tap_buffer")],
+    ids=["classic", "ngrc"],
+)
+def test_non_finite_array_is_config_error(tmp_path, capsys, request, model, last, value):
+    # training writes only finite arrays, so a non-finite one is a corrupt
+    # file, not a model that diverges at its first prediction step
+    path = tmp_path / "model.ccm"
+    save_model(path, request.getfixturevalue(model))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + np.array([value], "<f8").tobytes())
+    err = _assert_config_error(path, tmp_path, capsys)
+    assert err == f"config error: malformed model file: array {last} holds a non-finite value\n"
+
+
+@pytest.mark.parametrize(
+    "model, old, new, missing",
+    [
+        ("trained_esn", b",P:3x80,", b",Q:3x80,", "P"),
+        ("trained_esn", b",W_in:40x3,", b",W_im:40x3,", "W_in"),
+        ("trained_ngrc", b"arrays=W_out:", b"arrays=W_old:", "W_out"),
+        ("trained_ngrc", b",tap_buffer:1x3", b",taps:1x3", "tap_buffer"),
+    ],
+    ids=["classic-P", "classic-W_in", "ngrc-W_out", "ngrc-tap_buffer"],
+)
+def test_missing_array_is_named_as_an_array(tmp_path, capsys, request, model, old, new, missing):
+    # the renamed array keeps its payload bytes and is ignored as unused
+    path = tmp_path / "model.ccm"
+    save_model(path, request.getfixturevalue(model))
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+    err = _assert_config_error(path, tmp_path, capsys)
+    assert err == f"config error: the model file declares no array {missing}\n"
+
+
+def _assert_config_error(path, tmp_path, capsys) -> str:
+    """Loading ``path`` raises ConfigError; predict exits 2 with one line,
+    which is returned."""
     with pytest.raises(ConfigError):
         load_model(path)
     code = cli_main(["predict", "--model", str(path), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    return err
 
 
 def test_unsupported_type_rejected():
@@ -234,6 +278,9 @@ _FIELD_VALUES = {
         st.sampled_from(PREDICTOR_KINDS), min_size=1, max_size=len(PREDICTOR_KINDS), unique=True
     ).map(tuple),
 }
+# a field whose range depends on others: a SweepSpec drawn above has at most
+# 5 lengths x 2 kinds + 2 reference kinds = 12 cells a realization
+_FIELD_OVERRIDES = {"n_realizations": st.integers(1, MAX_SWEEP_CELLS // 12)}
 
 
 @pytest.mark.parametrize(
@@ -241,9 +288,9 @@ _FIELD_VALUES = {
 )
 def test_config_fields_round_trip_through_text(cls):
     hints = get_type_hints(cls)
-    configs = st.builds(
-        cls, **{f.name: _FIELD_VALUES[hints[f.name]] for f in fields(cls)}
-    )
+    configs = st.builds(cls, **{
+        f.name: _FIELD_OVERRIDES.get(f.name, _FIELD_VALUES[hints[f.name]]) for f in fields(cls)
+    })
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(configs)
