@@ -20,7 +20,7 @@ from scipy.linalg import eigvals
 from scipy.sparse._sparsetools import csr_matvec
 
 from .dynamics import Trajectory
-from .errors import InsufficientDataError, ReservoirSamplingError, check_prediction
+from .errors import ConfigError, InsufficientDataError, ReservoirSamplingError, check_prediction
 from .ridge import ridge_fit
 
 __all__ = [
@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 MAX_SAMPLING_ATTEMPTS = 10
+# upper bound on reservoir units: a draw's traced peak is about 24 bytes
+# times units squared (24, 97 and 386 MiB at 1,000, 2,000 and 4,000 units)
+# and its dense eigensolve grows toward units cubed (0.65, 3.2 and 19.9 s),
+# so 10,000 units take about 2.2 GiB and 5 minutes, and 20,000 units about
+# 9 GiB and 40 minutes
+MAX_RESERVOIR_DIM = 10_000
 # rows of the C-order staging block of the state harvest (see ``_harvest``)
 HARVEST_BLOCK = 256
 
@@ -105,9 +111,13 @@ def build_reservoir(cfg: EsnConfig, input_dim: int) -> tuple[sparse.csr_matrix, 
     the next seed substream.
 
     Raises:
+        ConfigError: more than ``MAX_RESERVOIR_DIM`` units; checked before
+            the first draw.
         ReservoirSamplingError: after 10 dead draws (e.g. edge_prob=0).
     """
     d = cfg.reservoir_dim
+    if d > MAX_RESERVOIR_DIM:
+        raise ConfigError(f"reservoir of {d} units exceeds {MAX_RESERVOIR_DIM} units")
     for attempt in range(MAX_SAMPLING_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, attempt)))
         mask = rng.random((d, d)) < cfg.edge_prob
@@ -190,7 +200,7 @@ def train(data: Trajectory, cfg: EsnConfig) -> EsnModel:
     rows.
 
     Raises:
-        ReservoirSamplingError: propagated from ``build_reservoir``.
+        ConfigError, ReservoirSamplingError: propagated from ``build_reservoir``.
         InsufficientDataError: fewer than washout+2 samples.
         IllConditionedError: ridge solve failure (propagated).
     """

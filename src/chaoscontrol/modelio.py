@@ -231,9 +231,8 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
             )
         if kind == "ngrc":
             cfg = _config_from_header(NgrcConfig, fields)
-            # tap_buffer first, so the payload bounds k; then the monomial
-            # count, so a corrupt order is rejected here rather than by the
-            # stepper asking build_library for an astronomically large table
+            # tap_buffer first, so the payload bounds k and a corrupt k is
+            # refused before it reaches the monomial count of the W_out check
             dim = _array(arrays, "tap_buffer").shape[-1]
             _check_shapes(arrays, {"tap_buffer": (cfg.tap_span, dim)})
             _check_shapes(arrays, {"W_out": (dim, cfg.n_features(dim))})

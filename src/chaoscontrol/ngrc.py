@@ -169,18 +169,18 @@ class NgrcModel:
         return _NgrcStepper(self, self.tap_buffer[-span:])
 
 
-def _products(padded: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
+def _products(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Multiply the gathered factor columns of ``table`` left to right."""
-    out = padded.take(table[0], axis=-1, out=out)
+    out = padded.take(table[0], axis=-1)
     for factor in table[1:]:
         out *= padded[..., factor]
     return out
 
 
-def poly_features(v: np.ndarray, lib: MonomialLibrary, out=None) -> np.ndarray:
+def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
     """Evaluate every library monomial at v, in canonical order.
 
-    Works on one vector or on rows of a 2-D array, into ``out`` if given.
+    Works on one vector or on rows of a 2-D array.
     The product order is the contract: each monomial is its variables
     multiplied left to right in index-tuple order, (x0 * x0) * x2 for
     (0, 0, 2), and the padding factors of shorter monomials multiply by an
@@ -192,7 +192,7 @@ def poly_features(v: np.ndarray, lib: MonomialLibrary, out=None) -> np.ndarray:
             f"expected {lib.input_dim} variables, got {v.shape[-1]}"
         )
     padded = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
-    return _products(padded, lib.index_table, out)
+    return _products(padded, lib.index_table)
 
 
 def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +203,7 @@ def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndar
 
     Raises:
         InsufficientDataError: series shorter than warm-up + 2.
+        ConfigError: the library is past ``build_library``'s bound, before any allocation.
     """
     samples = data.samples
     t_total = len(samples)
@@ -210,14 +211,13 @@ def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndar
         raise InsufficientDataError(
             f"need more than {cfg.warmup + 1} samples, got {t_total}"
         )
-    # allocated first, so numpy refuses an oversized design before the library is built
-    design = np.empty((t_total - cfg.warmup - 1, cfg.n_features(data.dim)))
+    lib = build_library(data.dim * cfg.k, cfg.orders)
     # tap i of row t is sample t - i*s: taps newest first
     taps = np.concatenate(
         [samples[cfg.warmup - i * cfg.s : t_total - 1 - i * cfg.s] for i in range(cfg.k)],
         axis=1,
     )
-    poly_features(taps, build_library(data.dim * cfg.k, cfg.orders), out=design)
+    design = poly_features(taps, lib)
     targets = samples[cfg.warmup + 1 :] - samples[cfg.warmup : -1]
     return design, targets
 

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import os
 import re
 import resource
@@ -415,16 +416,21 @@ def test_metrics_of_a_one_radius_curve_prints_nan_and_no_warning(tmp_path):
         ("train", b"dt = 5\n", 3, "integration error: "),
         ("control", b"dt = 5\n", 3, "integration error: "),
         ("train", b"esn_edge_prob = 0\ntraining_steps = 300\n", 2, "training failed: "),
-        # a 5e8-unit reservoir asks numpy for 2e18 bytes, past any 64-bit
-        # address space, so the allocation fails before anything is written
+        # reservoirs past esn.MAX_RESERVOIR_DIM are refused before the first
+        # draw; numpy would refuse a 5e8-unit draw as out of memory and a
+        # 4e9-unit one as an array too big to shape
         (
             "train", b"esn_reservoir_dim = 500000000\ntraining_steps = 300\n", 2,
-            "out of memory: Unable to allocate",
+            "config error: reservoir of 500000000 units exceeds 10000 units",
+        ),
+        (
+            "train", b"esn_reservoir_dim = 4000000000\ntraining_steps = 300\n", 2,
+            "config error: reservoir of 4000000000 units exceeds 10000 units",
         ),
     ],
     ids=[
         "huge-dt-simulate", "huge-dt-train", "huge-dt-control", "empty-reservoir-train",
-        "huge-reservoir-train",
+        "huge-reservoir-train", "unshapeable-reservoir-train",
     ],
 )
 def test_failed_run_exits_with_one_line(
@@ -506,47 +512,76 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize(
-    "content",
-    [b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\n", b"kind = ngrc\nngrc_orders = 1000\n"],
-    ids=["3.5e8-monomials", "order-1000"],
-)
-def test_oversized_feature_library_exits_2_at_once(tmp_path, content):
-    # the design (12 TiB and 18.5 GiB) is allocated before the monomials are
-    # enumerated, so numpy refuses it before the library's tuples fill the
-    # host; the child's address space is capped in case that order breaks
+def _run_capped(tmp_path, command, content, *args):
+    """``chaosctl <command> --config <content> --out tmp_path/out`` in a
+    fresh process whose address space is capped, in case a refusal comes
+    too late."""
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(content)
-    done = subprocess.run(
-        [sys.executable, "-m", "chaoscontrol.cli", "train", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-m", "chaoscontrol.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), *args],
         env=_fresh_env(), preexec_fn=_cap_address_space,
         capture_output=True, text=True, timeout=120,
     )
-    assert done.returncode == 2
-    assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("out of memory: Unable to allocate")
-    assert not (tmp_path / "out").exists()
 
 
-def test_huge_order_library_exits_2_at_once(tmp_path):
-    # the 2 x 501,501 design fits (8 MB), but the library's 501,501 index
-    # tuples and its (1000, 501501) index table would take about 4 GB each;
-    # the library is refused before they are built, under a capped address
-    # space in case it is not
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("kind = ngrc\nngrc_orders = 1000\ntraining_steps = 60\n")
+# NG-RC configs whose library build_library refuses before any of it, or
+# the design, is allocated
+_OVERSIZED_LIBRARIES = {
+    # 348,881,875 monomials over 300 taps; the design would take 12 TiB
+    "3.5e8-monomials": b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\n",
+    # 501,501 monomials: an 18.5 GiB design at the default N = 5000, an
+    # 8 MB one at N = 60, where the index table alone would take 4 GB
+    "order-1000": b"kind = ngrc\nngrc_orders = 1000\n",
+    "order-1000-n60": b"kind = ngrc\nngrc_orders = 1000\ntraining_steps = 60\n",
+    # more monomials than numpy can shape an array of
+    "order-12-of-300": (
+        b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\nngrc_orders = 12\ntraining_steps = 200\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "control"])
+@pytest.mark.parametrize("content", _OVERSIZED_LIBRARIES.values(), ids=_OVERSIZED_LIBRARIES)
+def test_oversized_ngrc_library_exits_2_with_one_line(tmp_path, command, content):
     start = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "chaoscontrol.cli", "train", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        env=_fresh_env(), preexec_fn=_cap_address_space,
-        capture_output=True, text=True, timeout=120,
-    )
+    done = _run_capped(tmp_path, command, content)
     assert time.monotonic() - start < 10
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("config error: NG-RC library of 501501 monomials")
+    assert done.stderr.startswith("config error: NG-RC library of ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_records_an_oversized_ngrc_library_as_failed(tmp_path):
+    content = _OVERSIZED_LIBRARIES["order-12-of-300"] + (
+        b"sweep_kinds = ngrc\nsweep_lengths = 200\nsweep_realizations = 1\nhorizon = 300\n"
+    )
+    done = _run_capped(tmp_path, "sweep", content, "--no-timestamp")
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["kind"], row["N"], row["status"]) for row in rows if row["kind"] == "ngrc"] == [
+        ("ngrc", "200", "failed")
+    ]
+
+
+def test_prediction_too_long_to_hold_exits_2_out_of_memory(tmp_path):
+    # the (1e8, 3) free-run array takes 2.24 GiB, past the child's 2 GiB cap
+    data = Trajectory(0.05, np.random.default_rng(0).uniform(-1, 1, (200, 3)))
+    model = tmp_path / "model.ccm"
+    chaoscontrol.save_model(
+        model, chaoscontrol.esn.train(data, chaoscontrol.EsnConfig(reservoir_dim=10, washout=20))
+    )
+    start = time.monotonic()
+    done = _run_capped(tmp_path, "predict", b"", "--model", str(model), "--steps", "100000000")
+    assert time.monotonic() - start < 10
+    assert done.returncode == 2
+    assert done.stderr == (
+        "out of memory: Unable to allocate 2.24 GiB for an array with shape "
+        "(100000000, 3) and data type float64\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -554,15 +589,8 @@ def test_oversized_sweep_grid_exits_2_before_any_cell(tmp_path):
     # 100,000,000 realizations of the default 20 cells each; the grid is
     # refused before its cell list is built, under a capped address space in
     # case it is not
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("sweep_realizations = 100000000\n")
     start = time.monotonic()
-    done = subprocess.run(
-        [sys.executable, "-m", "chaoscontrol.cli", "sweep", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        env=_fresh_env(), preexec_fn=_cap_address_space,
-        capture_output=True, text=True, timeout=120,
-    )
+    done = _run_capped(tmp_path, "sweep", b"sweep_realizations = 100000000\n")
     assert time.monotonic() - start < 10
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1
