@@ -5,8 +5,8 @@ Subcommands cover the full pipeline: ``simulate`` raw trajectories,
 closed-loop experiment, ``metrics`` on any trajectory CSV, ``sweep`` the
 data-efficiency grid, and ``snapshot`` of the exact training series.
 
-Exit codes: 0 success; a failure prints one stderr line and exits with the
-code (2 or 3) in README "CLI"'s table, which ``errors.py`` declares.
+Exit codes: 0 success; every failure in ``errors.FAILURES`` prints one
+stderr line and exits with its code (2 or 3) in README "CLI"'s table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .control import free_run
-from .errors import ChaosControlError, ConfigError
+from .errors import FAILURES, ConfigError, as_failure
 from .experiments import (
     MAX_STEPS,
     PREDICTOR_KINDS,
@@ -241,16 +241,10 @@ def main(argv=None) -> int:
         # warnings about them would only add lines to the one-line report
         with np.errstate(all="ignore"):
             return args.run(args, cfg, spec)
-    except ChaosControlError as exc:
-        print(exc.report(), file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # numpy refuses an array the host cannot hold before filling any of it
-        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
-        return 2
+    except FAILURES as exc:
+        failure = as_failure(exc)
+        print(failure.report(), file=sys.stderr)
+        return failure.exit_code
 
 
 if __name__ == "__main__":

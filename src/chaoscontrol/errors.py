@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the one failure declaration shared across the package."""
 
 # magnitude beyond which a predictor or plant state counts as diverged
 DIVERGENCE_BOUND = 1e3
@@ -18,7 +18,23 @@ class ChaosControlError(Exception):
 
     def report(self) -> str:
         where = ", ".join(f"{name} {getattr(self, name)}" for name in self.details)
-        return f"{self.label}: {self}" + (f" ({where})" if where else "")
+        head = f"{self.label}: {self}" if str(self) else self.label
+        return head + (f" ({where})" if where else "")
+
+
+# what chaosctl reports as one line and a sweep cell records as a row
+FAILURES = (ChaosControlError, MemoryError, OSError)
+
+
+def as_failure(exc: Exception) -> ChaosControlError:
+    """``exc`` as a package error: a MemoryError (an array numpy cannot
+    allocate) or an OSError becomes a base error with its message, labelled
+    ``out of memory`` or ``error``."""
+    if isinstance(exc, ChaosControlError):
+        return exc
+    failure = ChaosControlError(str(exc))
+    failure.label = "out of memory" if isinstance(exc, MemoryError) else "error"
+    return failure
 
 
 class IntegrationError(ChaosControlError):

@@ -46,7 +46,7 @@ from .dynamics import (
     simulate,
     step_rk4,
 )
-from .errors import ChaosControlError, ConfigError
+from .errors import FAILURES, ConfigError, as_failure
 from .esn import EsnConfig
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
@@ -283,11 +283,6 @@ def derive_seed_sequence(
     )
 
 
-def _derived_int(master_seed: int, kind: str, n: int, realization: int, stream: int) -> int:
-    seq = derive_seed_sequence(master_seed, kind, n, realization, stream)
-    return int(seq.generate_state(1, np.uint32)[0])
-
-
 # --------------------------------------------------------------------------
 # shared pipeline pieces
 
@@ -316,7 +311,8 @@ def _fit_cell(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> tup
     """(training, model) of one predictor cell: its N-sample series and fit."""
     training = attractor_series(cfg, kind, n, realization, n - 1)
     if kind == "classic":
-        seed = _derived_int(cfg.master_seed, kind, n, realization, _STREAM_RESERVOIR)
+        seq = derive_seed_sequence(cfg.master_seed, kind, n, realization, _STREAM_RESERVOIR)
+        seed = int(seq.generate_state(1, np.uint32)[0])
         return training, esn_train(training, cfg.esn_config(seed=seed, n=n))
     return training, ngrc_train(training, cfg.ngrc_config())
 
@@ -439,8 +435,8 @@ def _run_cell(args) -> SweepRow:
         stats = climate_stats(series)
         lam, nu = stats.lambda_max, stats.corr_dim
         status = "ok" if math.isfinite(lam) and math.isfinite(nu) else "degenerate"
-    except ChaosControlError as exc:
-        status = exc.status
+    except FAILURES as exc:
+        status = as_failure(exc).status
     return SweepRow(kind, n, realization, float(lam), float(nu), status)
 
 
@@ -478,22 +474,17 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full (kind x N x realization) grid plus reference cells.
 
-    A diverged or otherwise failed realization contributes a logged row
-    with a non-ok status and is excluded from the moments.  When
-    ``out_dir`` is given, writes sweep.csv, summary.csv and one errorbar
-    chart per climate measure.
+    A cell that raises a failure in ``errors.FAILURES``, an array numpy
+    cannot allocate included, is kept as a row with that failure's status
+    and excluded from the moments.  When ``out_dir`` is given, it is made
+    before the first cell, and sweep.csv, summary.csv and one errorbar
+    chart per climate measure are written after the last.
     """
-    grid = [
-        (cfg, kind, n, r)
-        for kind in spec.kinds
-        for n in spec.training_lengths
-        for r in range(spec.n_realizations)
-    ]
-    grid += [
-        (cfg, kind, 0, r)
-        for kind in REFERENCE_KINDS
-        for r in range(spec.n_realizations)
-    ]
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    cells = [(kind, n) for kind in spec.kinds for n in spec.training_lengths]
+    cells += [(kind, 0) for kind in REFERENCE_KINDS]
+    grid = [(cfg, kind, n, r) for kind, n in cells for r in range(spec.n_realizations)]
     # the fork start method launches every worker up front, so never ask
     # for more than there are cells or cores
     workers = min(jobs, len(grid), os.cpu_count() or 1)
@@ -504,13 +495,11 @@ def run_sweep(
         rows = [_run_cell(args) for args in grid]
     rows.sort(key=lambda r: (r.kind, r.n, r.seed))
     summary = summarize_rows(rows)
-    result = SweepResult(rows=rows, summary=summary)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows, timestamp)
         write_summary_csv(os.path.join(out_dir, "summary.csv"), summary, timestamp)
         _write_sweep_charts(out_dir, spec, summary)
-    return result
+    return SweepResult(rows=rows, summary=summary)
 
 
 def _write_sweep_charts(out_dir, spec: SweepSpec, summary) -> None:

@@ -17,7 +17,12 @@ from chaoscontrol.cli import main
 from chaoscontrol.control import free_run
 from chaoscontrol.dynamics import Trajectory
 from chaoscontrol.errors import ChaosControlError, DivergenceError, IllConditionedError
-from chaoscontrol.experiments import ExperimentConfig, attractor_series, write_trajectory_csv
+from chaoscontrol.experiments import (
+    ExperimentConfig,
+    SweepRow,
+    attractor_series,
+    write_trajectory_csv,
+)
 from chaoscontrol.modelio import load_model
 
 from conftest import LATTICE
@@ -487,7 +492,7 @@ def test_readme_failure_table_matches_the_error_classes(monkeypatch, capsys):
         name for name, cls in vars(errors).items()
         if isinstance(cls, type) and issubclass(cls, ChaosControlError)
     }
-    assert {row[0] for row in rows} == package | {"OSError", "MemoryError"}
+    assert {row[0] for row in rows} == package | {cls.__name__ for cls in errors.FAILURES}
     cfg = ExperimentConfig()
     for name, label, code, status in rows:
         cls = getattr(errors, name, None) or getattr(builtins, name)
@@ -498,14 +503,24 @@ def test_readme_failure_table_matches_the_error_classes(monkeypatch, capsys):
         monkeypatch.setattr(chaoscontrol.cli, "_cmd_simulate", fail)
         assert run_cli("simulate") == int(code), name
         assert capsys.readouterr().err.startswith(f"{label}: boom"), name
-        # a sweep cell records a package error's status; anything else stops the sweep
         monkeypatch.setattr(chaoscontrol.experiments, "attractor_series", fail)
-        if issubclass(cls, ChaosControlError):
-            assert chaoscontrol.experiments._run_cell((cfg, "ref_train", 0, 0)).status == status
-        else:
-            assert status == "none, the sweep stops"
-            with pytest.raises(cls):
-                chaoscontrol.experiments._run_cell((cfg, "ref_train", 0, 0))
+        assert chaoscontrol.experiments._run_cell((cfg, "ref_train", 0, 0)).status == status, name
+
+
+def test_sweep_into_an_unusable_out_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
+    # sweep makes --out before its first cell, so an unusable one costs none
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cells = []
+
+    def cell(args):
+        cells.append(args)
+        return SweepRow(args[1], args[2], args[3], float("nan"), float("nan"), "failed")
+
+    monkeypatch.setattr(chaoscontrol.experiments, "_run_cell", cell)
+    assert run_cli("sweep", "--out", str(blocker / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+    assert cells == []
 
 
 def _cap_address_space():
@@ -554,17 +569,43 @@ def test_oversized_ngrc_library_exits_2_with_one_line(tmp_path, command, content
     assert not (tmp_path / "out").exists()
 
 
+def _sweep_rows(out) -> list:
+    with open(out / "sweep.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_sweep_records_an_oversized_ngrc_library_as_failed(tmp_path):
     content = _OVERSIZED_LIBRARIES["order-12-of-300"] + (
         b"sweep_kinds = ngrc\nsweep_lengths = 200\nsweep_realizations = 1\nhorizon = 300\n"
     )
     done = _run_capped(tmp_path, "sweep", content, "--no-timestamp")
     assert done.returncode == 0, done.stderr
-    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _sweep_rows(tmp_path / "out")
     assert [(row["kind"], row["N"], row["status"]) for row in rows if row["kind"] == "ngrc"] == [
         ("ngrc", "200", "failed")
     ]
+
+
+def test_sweep_records_a_cell_it_cannot_allocate_as_failed(tmp_path):
+    # a 10,000-unit reservoir's dense 763 MiB matrix does not fit beside the
+    # sparse draw under the child's 2 GiB cap; the NG-RC cell runs before it
+    content = (
+        b"esn_reservoir_dim = 10000\nsweep_lengths = 500\nsweep_realizations = 1\n"
+        b"horizon = 2000\nsweep_kinds = "
+    )
+    (tmp_path / "both").mkdir()
+    start = time.monotonic()
+    done = _run_capped(tmp_path / "both", "sweep", content + b"ngrc classic\n", "--no-timestamp")
+    assert time.monotonic() - start < 10
+    assert done.returncode == 0, done.stderr
+    rows = _sweep_rows(tmp_path / "both" / "out")
+    assert [row["status"] for row in rows if row["kind"] == "classic"] == ["failed"]
+    (tmp_path / "ngrc").mkdir()
+    alone = _run_capped(tmp_path / "ngrc", "sweep", content + b"ngrc\n", "--no-timestamp")
+    assert alone.returncode == 0, alone.stderr
+    assert [row for row in rows if row["kind"] != "classic"] == _sweep_rows(
+        tmp_path / "ngrc" / "out"
+    )
 
 
 def test_prediction_too_long_to_hold_exits_2_out_of_memory(tmp_path):

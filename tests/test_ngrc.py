@@ -417,8 +417,10 @@ def test_teacher_forced_expansion_rate_known_limit(kind, rho, n, low, high, seed
 # diverge at 2 and 4 (steps 3,682 and 4,565); NG-RC's 34 monomials (next
 # state, beta 1e-4) diverge at all six, by step 385 (10-385).  The screen
 # reads 3.58 and 4.82 times the flow for the tanh rung at master seeds 0
-# and 1, and 5.53 and 7.27 for the monomials.  The 300-unit rung puts all
-# six in band.  A change that moves an outcome updates this test.
+# and 1, and 5.53 and 7.27 for the monomials.  50 tanh units put
+# realizations 0 and 5 in band and diverge at 1 and 2 (steps 8,749 and
+# 4,391); the 300-unit rung puts all six in band.  A change that moves an
+# outcome updates this test.
 LADDER_STEPS = 10_000
 
 
@@ -438,9 +440,11 @@ def _ladder_outcome(model) -> str:
         (tanh_rung, ExperimentConfig(esn_reservoir_dim=17),
          ["out", "in", "diverged", "out", "diverged", "out"]),
         (monomial_rung, ExperimentConfig(), ["diverged"] * 6),
+        (tanh_rung, ExperimentConfig(esn_reservoir_dim=50),
+         ["in", "diverged", "diverged", "out", "out", "in"]),
         (tanh_rung, ExperimentConfig(), ["in"] * 6),
     ],
-    ids=["tanh-17", "monomials-34", "tanh-300"],
+    ids=["tanh-17", "monomials-34", "tanh-50", "tanh-300"],
 )
 def test_equal_count_rungs_known_limit(rung, cfg, outcomes):
     assert [_ladder_outcome(rung(cfg, r)[1]) for r in range(6)] == outcomes

@@ -88,6 +88,17 @@ def test_only_experiments_imports_csv():
     assert importers == {"experiments.py"}
 
 
+def test_only_errors_names_memory_error():
+    # errors.py declares how every failure is reported and recorded, so
+    # chaosctl and a sweep cell cannot treat an allocation failure apart
+    namers = set()
+    for path in Path(chaoscontrol.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "MemoryError":
+                namers.add(path.name)
+    assert namers == {"errors.py"}
+
+
 def _traced_names() -> dict:
     """``SELF_METRIC`` of the bench tracer, read without importing it."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
