@@ -31,11 +31,12 @@ __all__ = [
 ]
 
 MAX_SAMPLING_ATTEMPTS = 10
-# upper bound on reservoir units: a draw's traced peak is about 24 bytes
-# times units squared (24, 97 and 386 MiB at 1,000, 2,000 and 4,000 units)
-# and its dense eigensolve grows toward units cubed (0.65, 3.2 and 19.9 s),
-# so 10,000 units take about 2.2 GiB and 5 minutes, and 20,000 units about
-# 9 GiB and 40 minutes
+# upper bound on reservoir units: a draw's traced peak is about 16.4 bytes
+# times units squared (15.8, 62.5 and 249 MiB at 1,000, 2,000 and 4,000
+# units), the dense weights and the eigensolver's copy of them, and its
+# dense eigensolve grows toward units cubed (0.65, 3.2 and 19.9 s), so
+# 10,000 units take about 1.5 GiB and 5 minutes, and 20,000 units about
+# 6.1 GiB and 40 minutes
 MAX_RESERVOIR_DIM = 10_000
 # rows of the C-order staging block of the state harvest (see ``_harvest``)
 HARVEST_BLOCK = 256
@@ -90,15 +91,15 @@ class EsnModel:
         return _EsnStepper(self)
 
 
-def _spectral_radius(a: sparse.csr_matrix) -> float:
-    """Largest |eigenvalue| of a sparse matrix, from the dense eigensolver.
+def _spectral_radius(a: np.ndarray) -> float:
+    """Largest |eigenvalue| of a dense matrix, which the solver may overwrite.
 
     A sampled network's spectrum crowds the rim of a disc, often with a
     complex pair on top, so iterative estimates are unreliable here:
     power iteration and ARPACK (k=1) both missed the largest modulus by
     up to 5% on 600- and 1500-unit reservoirs.
     """
-    moduli = np.abs(eigvals(a.toarray(), overwrite_a=True, check_finite=False))
+    moduli = np.abs(eigvals(a, overwrite_a=True, check_finite=False))
     return float(np.max(moduli))
 
 
@@ -120,10 +121,12 @@ def build_reservoir(cfg: EsnConfig, input_dim: int) -> tuple[sparse.csr_matrix, 
         raise ConfigError(f"reservoir of {d} units exceeds {MAX_RESERVOIR_DIM} units")
     for attempt in range(MAX_SAMPLING_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, attempt)))
-        mask = rng.random((d, d)) < cfg.edge_prob
+        absent = rng.random((d, d)) >= cfg.edge_prob
         weights = rng.uniform(-1.0, 1.0, size=(d, d))
-        a = sparse.csr_matrix(np.where(mask, weights, 0.0))
-        radius = _spectral_radius(a)
+        weights[absent] = 0.0
+        del absent
+        a = sparse.csr_matrix(weights)
+        radius = _spectral_radius(weights)
         if radius > 0.0:
             a = a * (cfg.spectral_radius / radius)
             w_in = rng.uniform(-cfg.input_scale, cfg.input_scale,

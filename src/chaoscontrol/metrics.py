@@ -10,10 +10,12 @@ embedding is performed.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +146,7 @@ def _cross_pair_counts(left: np.ndarray, right: np.ndarray, r_grid: np.ndarray) 
     return cKDTree(left).count_neighbors(cKDTree(right), r_grid, cumulative=False)
 
 
-def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
+def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray, fork: bool = False) -> np.ndarray:
     """Ordered pairs, self-pairs included, per bin r[m-1] < d <= r[m].
 
     Bin 0 holds d <= r[0]; pairs beyond r[-1] are not counted.  The points
@@ -153,15 +155,26 @@ def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     once and enter twice.  A block of at most ``_GP_BLOCK`` points is
     traversed against itself.  ``cumulative=False`` places each distance by
     a binary search over the radii instead of testing every radius.
+
+    With ``fork``, a forked child counts the left half of the first cut
+    while this process counts the rest: ``cKDTree.count_neighbors`` holds
+    the GIL, so only a second process puts a second core to work.  Where
+    no child starts, or it delivers less than the full count, this process
+    counts the left half itself.  The counts are exact integers, so they
+    equal the single-process ones.
     """
     if len(points) <= _GP_BLOCK:
         tree = cKDTree(points)
         return tree.count_neighbors(tree, r_grid, cumulative=False)
     left, right = _median_halves(points)
-    return (
-        _binned_pair_counts(left, r_grid) + _binned_pair_counts(right, r_grid)
-        + 2 * _cross_pair_counts(left, right, r_grid)
-    )
+    n_bytes = len(r_grid) * np.dtype(np.int64).itemsize
+    with (_fork_counter(left, r_grid) if fork else io.BytesIO()) as child:
+        counts = _binned_pair_counts(right, r_grid) + 2 * _cross_pair_counts(left, right, r_grid)
+        # a buffered read returns short only at end of file
+        data = child.read(n_bytes)
+    if len(data) < n_bytes:
+        return counts + _binned_pair_counts(left, r_grid)
+    return counts + np.frombuffer(data, dtype=np.int64)
 
 
 def _fork_pays(n_points: int) -> bool:
@@ -187,24 +200,28 @@ def _fork_pays(n_points: int) -> bool:
     return threads == 1 and cpus >= 2
 
 
+@contextmanager
 def _fork_counter(points: np.ndarray, r_grid: np.ndarray):
     """Fork a child that writes ``_binned_pair_counts(points)`` to a pipe.
 
-    Returns (child pid, read end of the pipe), or None if no child could be
-    started.  The child inherits ``points`` without pickling and leaves
+    Yields the read end of the pipe, or an empty stream if no child could
+    be started.  The child inherits ``points`` without pickling and leaves
     through ``os._exit``, so it runs no exit handler and flushes no buffer
-    of the parent's.
+    of the parent's.  On leaving, the parent reaps the child, and kills it
+    first if the block raised.
     """
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return None
+        yield io.BytesIO()
+        return
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        yield io.BytesIO()
+        return
     if pid == 0:
         status = 1
         try:
@@ -216,45 +233,14 @@ def _fork_counter(points: np.ndarray, r_grid: np.ndarray):
         finally:
             os._exit(status)
     os.close(write_fd)
-    return pid, read_fd
-
-
-def _two_process_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
-    """``_binned_pair_counts``, its top-level left half counted in a child.
-
-    ``cKDTree.count_neighbors`` holds the GIL, so only a second process
-    puts a second core to work.  Where ``_fork_pays`` says no, this is the
-    single-process count.  Otherwise, while the forked child counts the
-    left half, the parent counts the pairs across the cut and the right
-    half, then reads the child's counts and reaps it.  If the fork fails
-    or the child delivers less than the full count, the parent counts the
-    left half itself; on any exception it kills and reaps the child
-    before re-raising.  The counts are exact integers, so they equal the
-    single-process ones.
-    """
-    if not _fork_pays(len(points)):
-        return _binned_pair_counts(points, r_grid)
-    left, right = _median_halves(points)
-    child = _fork_counter(left, r_grid)
-    if child is None:
-        return _binned_pair_counts(points, r_grid)
-    pid, read_fd = child
-    n_bytes = len(r_grid) * np.dtype(np.int64).itemsize
     with open(read_fd, "rb") as pipe:
         try:
-            counts = _binned_pair_counts(right, r_grid) + 2 * _cross_pair_counts(
-                left, right, r_grid
-            )
-            # a buffered read returns short only at end of file
-            data = pipe.read(n_bytes)
+            yield pipe
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             os.waitpid(pid, 0)
-    if len(data) < n_bytes:
-        return counts + _binned_pair_counts(left, r_grid)
-    return counts + np.frombuffer(data, dtype=np.int64)
 
 
 def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
@@ -284,7 +270,7 @@ def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
     if 0.0 < diam < np.inf:
         r_grid = np.geomspace(GP_R_MIN * diam, GP_R_MAX * diam, GP_N_R)
         # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
-        cum = np.cumsum(_two_process_pair_counts(points, r_grid)) - n
+        cum = np.cumsum(_binned_pair_counts(points, r_grid, fork=_fork_pays(n))) - n
         n_pairs = n * (n - 1)
     else:
         r_grid = cum = np.array([])

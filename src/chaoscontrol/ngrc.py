@@ -35,11 +35,30 @@ __all__ = [
 # is built from as much again or more, so ten million entries already take
 # about 0.3 GB
 _MAX_LIBRARY_ENTRIES = 10_000_000
+# upper bound on an NG-RC design's cells, rows times monomials: at 8 bytes
+# a cell the design takes 0.8 GB, and building and fitting it each hold a
+# second array of its size
+_MAX_DESIGN_CELLS = 100_000_000
 
 
 def _monomial_count(input_dim: int, orders) -> int:
     """Monomials of the given orders over ``input_dim`` variables."""
     return sum(comb(input_dim + o - 1, o) for o in orders)
+
+
+def _library_length(input_dim: int, orders) -> int:
+    """Monomials of the library over ``input_dim`` variables.
+
+    Raises:
+        ConfigError: the index table would exceed ``_MAX_LIBRARY_ENTRIES``.
+    """
+    count, width = _monomial_count(input_dim, orders), max(orders, default=0)
+    if count * width > _MAX_LIBRARY_ENTRIES:
+        raise ConfigError(
+            f"NG-RC library of {count} monomials up to order {width} exceeds "
+            f"{_MAX_LIBRARY_ENTRIES} index table entries"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -130,12 +149,7 @@ def build_library(input_dim: int, orders: tuple[int, ...]) -> MonomialLibrary:
     """
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
-    count, width = _monomial_count(input_dim, orders), max(orders, default=0)
-    if count * width > _MAX_LIBRARY_ENTRIES:
-        raise ConfigError(
-            f"NG-RC library of {count} monomials up to order {width} exceeds "
-            f"{_MAX_LIBRARY_ENTRIES} index table entries"
-        )
+    _library_length(input_dim, orders)
     monos = []
     for order in orders:
         monos.extend(
@@ -203,13 +217,21 @@ def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndar
 
     Raises:
         InsufficientDataError: series shorter than warm-up + 2.
-        ConfigError: the library is past ``build_library``'s bound, before any allocation.
+        ConfigError: the library is past ``build_library``'s bound, or the
+            design past ``_MAX_DESIGN_CELLS``; checked before the library
+            is enumerated.
     """
     samples = data.samples
     t_total = len(samples)
     if t_total < cfg.warmup + 2:
         raise InsufficientDataError(
             f"need more than {cfg.warmup + 1} samples, got {t_total}"
+        )
+    rows, count = t_total - cfg.warmup - 1, _library_length(data.dim * cfg.k, cfg.orders)
+    if rows * count > _MAX_DESIGN_CELLS:
+        raise ConfigError(
+            f"NG-RC design of {rows} rows x {count} monomials exceeds "
+            f"{_MAX_DESIGN_CELLS} cells"
         )
     lib = build_library(data.dim * cfg.k, cfg.orders)
     # tap i of row t is sample t - i*s: taps newest first

@@ -386,6 +386,30 @@ def teacher_forced_exponent(tangent, points, dt: float, seed: int = 0) -> float:
     return log_sum / (len(points) * dt)
 
 
+def own_exponent(model, n_steps: int, washout: int) -> float:
+    """Largest Lyapunov exponent per step of a trained ESN's closed-loop map,
+    along the map's own orbit.
+
+    Benettin's method on the map r -> tanh(A r + W_in P {r, r^2}): from
+    ``model.r`` the map and one tangent vector, pushed through
+    ``esn_tangent``, run side by side for ``washout + n_steps`` steps, the
+    tangent renormalized after every step.  The mean log stretch over the
+    last ``n_steps`` is the exponent; divide by dt for it per time unit.
+    """
+    r = model.r
+    w = np.random.default_rng(0).standard_normal(len(r))
+    w /= np.linalg.norm(w)
+    log_sum = 0.0
+    for t in range(washout + n_steps):
+        w = esn_tangent(model, r, w)
+        norm = np.linalg.norm(w)
+        if t >= washout:
+            log_sum += math.log(norm)
+        w /= norm
+        r = np.tanh(model.A @ r + model.W_in @ (model.P @ augmented_state(r)))
+    return log_sum / n_steps
+
+
 def without_recurrence(build_reservoir):
     """``build_reservoir`` with the sampled recurrent matrix A zeroed, so the
     reservoir state is tanh(W_in u) of the current input alone."""

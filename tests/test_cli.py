@@ -523,49 +523,49 @@ def test_sweep_into_an_unusable_out_exits_2_before_any_cell(tmp_path, monkeypatc
     assert cells == []
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
-def _run_capped(tmp_path, command, content, *args):
+def _run_capped(tmp_path, command, content, *args, cap=2 << 30):
     """``chaosctl <command> --config <content> --out tmp_path/out`` in a
-    fresh process whose address space is capped, in case a refusal comes
-    too late."""
+    fresh process whose address space is capped at ``cap`` bytes, in case
+    a refusal comes too late."""
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(content)
     return subprocess.run(
         [sys.executable, "-m", "chaoscontrol.cli", command, "--config", str(cfg),
          "--out", str(tmp_path / "out"), *args],
-        env=_fresh_env(), preexec_fn=_cap_address_space,
+        env=_fresh_env(), preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         capture_output=True, text=True, timeout=120,
     )
 
 
-# NG-RC configs whose library build_library refuses before any of it, or
-# the design, is allocated
-_OVERSIZED_LIBRARIES = {
+# NG-RC configs refused, by what they refuse, before the library is
+# enumerated or the design allocated
+_OVERSIZED_NGRC = {
     # 348,881,875 monomials over 300 taps; the design would take 12 TiB
-    "3.5e8-monomials": b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\n",
+    "3.5e8-monomials": ("library", b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\n"),
     # 501,501 monomials: an 18.5 GiB design at the default N = 5000, an
     # 8 MB one at N = 60, where the index table alone would take 4 GB
-    "order-1000": b"kind = ngrc\nngrc_orders = 1000\n",
-    "order-1000-n60": b"kind = ngrc\nngrc_orders = 1000\ntraining_steps = 60\n",
+    "order-1000": ("library", b"kind = ngrc\nngrc_orders = 1000\n"),
+    "order-1000-n60": ("library", b"kind = ngrc\nngrc_orders = 1000\ntraining_steps = 60\n"),
     # more monomials than numpy can shape an array of
     "order-12-of-300": (
-        b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\nngrc_orders = 12\ntraining_steps = 200\n"
+        "library",
+        b"kind = ngrc\nngrc_k = 100\nngrc_s = 1\nngrc_orders = 12\ntraining_steps = 200\n",
     ),
+    # 4,504,500 monomials, inside the library bound: a (3999, 4504500)
+    # design of 134 GiB, whose library alone took 6.5 s to enumerate
+    "design-1000-taps": ("design", b"kind = ngrc\nngrc_k = 1000\nngrc_s = 1\nngrc_orders = 1,2\n"),
 }
 
 
 @pytest.mark.parametrize("command", ["train", "control"])
-@pytest.mark.parametrize("content", _OVERSIZED_LIBRARIES.values(), ids=_OVERSIZED_LIBRARIES)
-def test_oversized_ngrc_library_exits_2_with_one_line(tmp_path, command, content):
+@pytest.mark.parametrize("refused, content", _OVERSIZED_NGRC.values(), ids=_OVERSIZED_NGRC)
+def test_oversized_ngrc_library_exits_2_with_one_line(tmp_path, command, refused, content):
     start = time.monotonic()
     done = _run_capped(tmp_path, command, content)
     assert time.monotonic() - start < 10
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("config error: NG-RC library of ")
+    assert done.stderr.startswith(f"config error: NG-RC {refused} of ")
     assert not (tmp_path / "out").exists()
 
 
@@ -575,7 +575,7 @@ def _sweep_rows(out) -> list:
 
 
 def test_sweep_records_an_oversized_ngrc_library_as_failed(tmp_path):
-    content = _OVERSIZED_LIBRARIES["order-12-of-300"] + (
+    content = _OVERSIZED_NGRC["order-12-of-300"][1] + (
         b"sweep_kinds = ngrc\nsweep_lengths = 200\nsweep_realizations = 1\nhorizon = 300\n"
     )
     done = _run_capped(tmp_path, "sweep", content, "--no-timestamp")
@@ -587,21 +587,26 @@ def test_sweep_records_an_oversized_ngrc_library_as_failed(tmp_path):
 
 
 def test_sweep_records_a_cell_it_cannot_allocate_as_failed(tmp_path):
-    # a 10,000-unit reservoir's dense 763 MiB matrix does not fit beside the
-    # sparse draw under the child's 2 GiB cap; the NG-RC cell runs before it
+    # a 10,000-unit reservoir's draw holds two dense 763 MiB arrays, which
+    # do not fit under a 1 GiB cap; the NG-RC sweep alone runs under half
+    # of it, and its cell runs before the classic one
     content = (
         b"esn_reservoir_dim = 10000\nsweep_lengths = 500\nsweep_realizations = 1\n"
         b"horizon = 2000\nsweep_kinds = "
     )
     (tmp_path / "both").mkdir()
     start = time.monotonic()
-    done = _run_capped(tmp_path / "both", "sweep", content + b"ngrc classic\n", "--no-timestamp")
+    done = _run_capped(
+        tmp_path / "both", "sweep", content + b"ngrc classic\n", "--no-timestamp", cap=1 << 30
+    )
     assert time.monotonic() - start < 10
     assert done.returncode == 0, done.stderr
     rows = _sweep_rows(tmp_path / "both" / "out")
     assert [row["status"] for row in rows if row["kind"] == "classic"] == ["failed"]
     (tmp_path / "ngrc").mkdir()
-    alone = _run_capped(tmp_path / "ngrc", "sweep", content + b"ngrc\n", "--no-timestamp")
+    alone = _run_capped(
+        tmp_path / "ngrc", "sweep", content + b"ngrc\n", "--no-timestamp", cap=1 << 30
+    )
     assert alone.returncode == 0, alone.stderr
     assert [row for row in rows if row["kind"] != "classic"] == _sweep_rows(
         tmp_path / "ngrc" / "out"

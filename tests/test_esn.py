@@ -227,6 +227,28 @@ def test_train_peak_memory_pinned(seed0_classic):
     assert np.array_equal(m.P, model.P)
 
 
+# traced peak of one reservoir draw, in bytes per unit squared: 17.5 at 300
+# units (16.4 at 2,000), where the weights are thinned in place and handed
+# to the eigensolver, so the peak is the dense weights and the solver's
+# column-major copy, 8 bytes each.  Keeping the edge mask alive reads 18.5;
+# a thinned copy of the weights and the CSR matrix's dense rebuild, 26.5.
+DRAW_PEAK_PER_UNIT_SQUARED = 21
+
+
+def test_reservoir_draw_peak_memory_pinned():
+    cfg = EsnConfig(reservoir_dim=300, seed=3)
+    tracemalloc.start()
+    try:
+        a, w_in = build_reservoir(cfg, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = cfg.reservoir_dim
+    # the lower bound shows that numpy's buffers are traced at all
+    assert 16 * d * d <= peak <= DRAW_PEAK_PER_UNIT_SQUARED * d * d
+    assert (a.shape, w_in.shape) == ((d, d), (d, 3))
+
+
 @pytest.mark.parametrize("source", ["trained", "ccm"])
 def test_stepper_matches_oracle_loop(tmp_path, train_run_short, source):
     m = train(train_run_short, EsnConfig(washout=100, seed=12))

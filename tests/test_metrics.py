@@ -331,14 +331,45 @@ def test_count_forks_only_where_it_pays(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_interrupted_count_kills_and_reaps_its_child(monkeypatch, fork_small_counts):
+    # the parent is interrupted while the child, a cut deeper, still counts
+    parent = os.getpid()
+
+    def interrupted(left, right, r_grid):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(metrics, "_cross_pair_counts", interrupted)
+    points = attractor_trajectory(PLANT_PARAMS, 4 * _GP_BLOCK, seed=3).samples
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        correlation_dimension(Trajectory(0.05, points))
+    assert time.monotonic() - start < 10
+    assert _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_fork_falls_back_to_parent_count(monkeypatch, fork_small_counts):
+    def no_fork():
+        raise OSError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
+    _, diag = correlation_dimension(Trajectory(0.05, points))
+    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
+    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("fault", ["child-dies", "child-short-count"])
 def test_failed_child_falls_back_to_parent_count(monkeypatch, fork_small_counts, fault):
     # the child dies before it writes, or writes half the bins and exits
     parent, real_counts, child_calls = os.getpid(), metrics._binned_pair_counts, []
 
-    def faulty_in_child(points, r_grid):
+    def faulty_in_child(points, r_grid, **kwargs):
         if os.getpid() == parent or child_calls:
-            return real_counts(points, r_grid)
+            return real_counts(points, r_grid, **kwargs)
         child_calls.append(1)
         if fault == "child-dies":
             os._exit(1)

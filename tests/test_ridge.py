@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import chaoscontrol.esn
 import chaoscontrol.ridge
 from chaoscontrol import climate_stats, ridge_fit
+from chaoscontrol.control import free_run
 from chaoscontrol.errors import DivergenceError, IllConditionedError
 from chaoscontrol.experiments import (
     ExperimentConfig,
     _control_cell,
+    _fit_cell,
     _run_cell,
     prepare_trained_model,
 )
@@ -23,6 +25,7 @@ from chaoscontrol.ridge import RIDGE_RCOND
 from conftest import in_x_band
 from oracles import (
     esn_harvest,
+    own_exponent,
     ridge_normal_equations,
     ridge_qr_multiply,
     ridge_svd,
@@ -397,3 +400,19 @@ def test_reservoir_memory_unused_known_limit(monkeypatch):
     memoryless = without_recurrence(chaoscontrol.esn.build_reservoir)
     monkeypatch.setattr(chaoscontrol.esn, "build_reservoir", memoryless)
     assert in_x_band(_run_cell(cell))
+
+
+def test_learned_map_expands_on_its_own_orbit_known_limit():
+    # Known limit: A2's lambda gap is the learned map's own (README "What A2
+    # measures").  Benettin's method along each predictor's own 10k-step
+    # free run, its first 500 steps dropped, reads 0.914 and 0.849 at
+    # realizations 0 and 1 of A2's cell, against the flow's 0.65-0.87 on
+    # ref_train; Rosenstein reads the free runs at 0.69 and 0.71 of that,
+    # about the fraction at which it reads the flow (0.62-0.66).
+    cfg = ExperimentConfig()
+    for realization, exponent, ratio in ((0, 0.914, 0.69), (1, 0.849, 0.71)):
+        model = _fit_cell(cfg, "classic", 5000, realization)[1]
+        own = own_exponent(model, 9_500, 500) / cfg.dt
+        rosenstein = climate_stats(free_run(model.stepper(), 10_000, cfg.dt)).lambda_max
+        assert abs(own - exponent) < 0.01, f"realization {realization}: {own:.3f}"
+        assert abs(rosenstein / own - ratio) < 0.01, f"realization {realization}"
