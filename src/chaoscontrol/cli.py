@@ -59,35 +59,32 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the timestamped header comment for byte-stable output",
     )
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
+    steps = argparse.ArgumentParser(add_help=False)
+    steps.add_argument("--steps", type=int, help="steps to sample or predict (default: horizon)")
     parser = _Parser(
         prog="chaosctl",
         description="Closed-loop chaos control experiments on the Lorenz system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, run, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
+    def add(name, run, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
         p.set_defaults(run=run)
         return p
 
-    p = add("simulate", _cmd_simulate, "integrate one regime and write t,x,y,z CSV")
+    p = add("simulate", _cmd_simulate, "integrate one regime and write t,x,y,z CSV", steps)
     p.add_argument(
         "--state",
         choices=("train", "plant"),
         default="train",
         help="which parameter regime to integrate",
     )
-    p.add_argument("--steps", type=int, help="sampling steps (default: horizon)")
-
-    p = add("train", _cmd_train, "fit the configured predictor, save the model")
-    p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
-
-    p = add("predict", _cmd_predict, "free-run a saved model")
+    add("train", _cmd_train, "fit the configured predictor, save the model", kind)
+    p = add("predict", _cmd_predict, "free-run a saved model", steps)
     p.add_argument("--model", required=True, metavar="PATH", help="saved model file")
-    p.add_argument("--steps", type=int, help="prediction steps (default: horizon)")
-
-    p = add("control", _cmd_control, "full experiment: train, switch regime, control")
-    p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
+    add("control", _cmd_control, "full experiment: train, switch regime, control", kind)
 
     p = add("metrics", _cmd_metrics, "climate statistics of a trajectory CSV")
     p.add_argument("--input", required=True, metavar="PATH", help="t,x,y,z CSV file")
@@ -95,8 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "training-length sweep with reference climates")
     p.add_argument("--jobs", type=int, default=1, metavar="INT", help="worker processes")
 
-    p = add("snapshot", _cmd_snapshot, "export the exact training series")
-    p.add_argument("--kind", choices=PREDICTOR_KINDS, help="predictor kind override")
+    add("snapshot", _cmd_snapshot, "export the exact training series", kind)
 
     return parser
 

@@ -203,17 +203,18 @@ def train(data: Trajectory, cfg: EsnConfig) -> EsnModel:
     rows.
 
     Raises:
+        InsufficientDataError: fewer than washout+2 samples; checked before
+            the reservoir is drawn.
         ConfigError, ReservoirSamplingError: propagated from ``build_reservoir``.
-        InsufficientDataError: fewer than washout+2 samples.
         IllConditionedError: ridge solve failure (propagated).
     """
-    a, w_in = build_reservoir(cfg, data.dim)
     samples = data.samples
     n = len(samples)
     if n < cfg.washout + 2:
         raise InsufficientDataError(
             f"training needs at least washout+2 = {cfg.washout + 2} samples, got {n}"
         )
+    a, w_in = build_reservoir(cfg, data.dim)
     r = np.zeros(cfg.reservoir_dim)
     for u in samples[: cfg.washout]:
         r = _reservoir_update(a, w_in, r, u, out=r)

@@ -193,15 +193,18 @@ def _array(arrays: dict, name: str) -> np.ndarray:
     return arrays[name]
 
 
-def _check_shapes(arrays: dict, expected: dict) -> None:
-    """Every named array must be declared with the shape the header's config implies."""
-    for name, shape in expected.items():
-        got = _array(arrays, name).shape
-        if got != shape:
+def _checked(arrays: dict, **shapes) -> list:
+    """The named arrays in order, each declared with the shape the header's config implies."""
+    checked = []
+    for name, shape in shapes.items():
+        arr = _array(arrays, name)
+        if arr.shape != shape:
             raise ConfigError(
-                f"array {name} is {'x'.join(map(str, got))}, the header "
+                f"array {name} is {'x'.join(map(str, arr.shape))}, the header "
                 f"implies {'x'.join(map(str, shape))}"
             )
+        checked.append(arr)
+    return checked
 
 
 def load_model(path) -> Union[EsnModel, NgrcModel]:
@@ -219,28 +222,16 @@ def load_model(path) -> Union[EsnModel, NgrcModel]:
         if kind == "classic":
             cfg = _config_from_header(EsnConfig, fields)
             d, dim = cfg.reservoir_dim, _array(arrays, "P").shape[0]
-            _check_shapes(arrays, {
-                "A": (d, d), "W_in": (d, dim), "P": (dim, 2 * d), "r": (d,),
-            })
-            return EsnModel(
-                config=cfg,
-                A=sparse.csr_matrix(arrays["A"]),
-                W_in=arrays["W_in"],
-                P=arrays["P"],
-                r=arrays["r"],
-            )
+            A, W_in, P, r = _checked(arrays, A=(d, d), W_in=(d, dim), P=(dim, 2 * d), r=(d,))
+            return EsnModel(config=cfg, A=sparse.csr_matrix(A), W_in=W_in, P=P, r=r)
         if kind == "ngrc":
             cfg = _config_from_header(NgrcConfig, fields)
             # tap_buffer first, so the payload bounds k and a corrupt k is
             # refused before it reaches the monomial count of the W_out check
             dim = _array(arrays, "tap_buffer").shape[-1]
-            _check_shapes(arrays, {"tap_buffer": (cfg.tap_span, dim)})
-            _check_shapes(arrays, {"W_out": (dim, cfg.n_features(dim))})
-            return NgrcModel(
-                config=cfg,
-                W_out=arrays["W_out"],
-                tap_buffer=arrays["tap_buffer"],
-            )
+            (tap_buffer,) = _checked(arrays, tap_buffer=(cfg.tap_span, dim))
+            (W_out,) = _checked(arrays, W_out=(dim, cfg.n_features(dim)))
+            return NgrcModel(config=cfg, W_out=W_out, tap_buffer=tap_buffer)
     except KeyError as exc:
         raise ConfigError(f"model header missing field {exc}") from exc
     except ValueError as exc:

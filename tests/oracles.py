@@ -23,7 +23,9 @@ from unittest import mock
 import numpy as np
 from scipy.linalg import qr_multiply, svd
 
-from chaoscontrol import LorenzParams, NgrcConfig, NgrcModel, build_library, esn, ridge_fit
+from chaoscontrol import (
+    LorenzParams, NgrcConfig, NgrcModel, Trajectory, build_library, esn, ridge_fit,
+)
 from chaoscontrol.errors import InsufficientDataError
 from chaoscontrol.experiments import _fit_cell, attractor_series
 from chaoscontrol.ngrc import build_design
@@ -450,3 +452,23 @@ def monomial_rung(cfg, realization: int) -> tuple:
     w = ridge_fit(design, training.samples[ncfg.warmup + 1 :], ncfg.ridge_beta)
     linear = np.eye(training.dim, design.shape[1])
     return training, NgrcModel(ncfg, w - linear, training.samples[-1:].copy())
+
+
+def noisy_ngrc_fit(cfg, realization: int, noise: float, seed: int) -> NgrcModel:
+    """Delay-tap NG-RC at the operating point of Gauthier et al. (Nat Commun
+    12, 5564, 2021), fit to a noisy copy of the NG-RC cell's 400 samples.
+
+    Gaussian noise from ``default_rng(seed)``, ``noise`` times each
+    variable's std, is added to the whole series; the features are the
+    linear and quadratic monomials of k = 2 taps s = 1 apart, without a
+    constant, fit with beta 2.5e-6.  The rest of their operating point,
+    rho = 28 and dt = 0.025, is ``cfg``'s to set.  The model continues
+    from the noisy series' end.
+    """
+    samples = attractor_series(cfg, "ngrc", 400, realization, 399).samples
+    jitter = np.random.default_rng(seed).standard_normal(samples.shape)
+    noisy = Trajectory(cfg.dt, samples + noise * samples.std(axis=0) * jitter)
+    ncfg = NgrcConfig(k=2, s=1, orders=(1, 2), ridge_beta=2.5e-6)
+    design, targets = build_design(noisy, ncfg)
+    w_out = ridge_fit(design, targets, ncfg.ridge_beta)
+    return NgrcModel(ncfg, w_out, noisy.samples[-ncfg.tap_span :].copy())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import chaoscontrol.esn
 from chaoscontrol import (
     EsnConfig,
     Trajectory,
@@ -162,7 +163,13 @@ def test_shrinkage_with_penalty():
     assert norms[1] <= norms[0] + 1e-12
 
 
-def test_insufficient_data_signalled():
+def test_insufficient_data_signalled(monkeypatch):
+    # a short series is refused before the reservoir draw, whose dense
+    # eigensolve costs seconds at a few thousand units
+    def no_draw(*args):
+        raise AssertionError("reservoir drawn")
+
+    monkeypatch.setattr(chaoscontrol.esn, "build_reservoir", no_draw)
     cfg = EsnConfig(reservoir_dim=4, edge_prob=0.5, washout=10, seed=1)
     data = Trajectory(0.05, np.zeros((11, 3)))
     with pytest.raises(InsufficientDataError):

@@ -181,6 +181,15 @@ def test_readme_config_block_lists_the_defaults():
     assert config_from_mapping(mapping) == config_from_mapping({})
 
 
+def test_committed_configs_load():
+    # a config under configs/ that names a key the package no longer has
+    # would fail only when someone runs it
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert {"rho28_crossover.cfg", "rho28_crossover_ngrc_s1.cfg"} <= {p.name for p in paths}
+    for path in paths:
+        config_from_mapping(load_config_file(path))
+
+
 def test_unknown_and_malformed_keys_rejected(tmp_path):
     with pytest.raises(ConfigError):
         config_from_mapping({"typo_key": "1"})
