@@ -10,16 +10,11 @@ embedding is performed.
 
 from __future__ import annotations
 
-import io
-import multiprocessing
-import os
-import signal
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from .dynamics import Trajectory
 from .errors import InsufficientDataError
@@ -122,15 +117,13 @@ _FIRST_QUERY_K = 8
 # rows per full-depth Theiler query: a near-fixed-point series sends all its
 # rows there, and 10k of them in one query hold about 30 MB
 _REDO_BLOCK = 512
-# largest point block the GP count traverses against itself; smaller
-# blocks add tree builds, larger ones revisit more ordered pairs twice
-# (128-512 all take 0.57-0.63 of a single self-count on 10k samples)
-_GP_BLOCK = 256
-# fewest points whose GP count forks a child: a fork plus reap costs 5-6 ms,
-# so on 2 vCPUs the forked count took 6-7 ms against 1.1 ms serial at 301
-# points, 14-18 against 7-8 ms at 1,200 and 0.73-1.26x of serial at 3,000;
-# from 3,500 points on it took 0.65-0.72x (medians of 20 calls)
-_GP_FORK_MIN = 4_000
+# largest point block whose pairs the GP count takes from one distance
+# vector; 10k samples split into blocks of 312 points.  Blocks of 256-512
+# points count a 10k series in the same time, and 768 raises the count's
+# traced peak from 1.6 to 4.8 MB
+_GP_BLOCK = 512
+# build flags of both trees of a cross count
+_CROSS_TREE = dict(leafsize=32, balanced_tree=False, compact_nodes=False)
 
 
 def _median_halves(points: np.ndarray) -> tuple:
@@ -143,104 +136,34 @@ def _median_halves(points: np.ndarray) -> tuple:
 
 def _cross_pair_counts(left: np.ndarray, right: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     """Pairs with one point in each set, per bin, each counted once."""
-    return cKDTree(left).count_neighbors(cKDTree(right), r_grid, cumulative=False)
+    return cKDTree(left, **_CROSS_TREE).count_neighbors(
+        cKDTree(right, **_CROSS_TREE), r_grid, cumulative=False
+    )
 
 
-def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray, fork: bool = False) -> np.ndarray:
+def _binned_pair_counts(points: np.ndarray, r_grid: np.ndarray) -> np.ndarray:
     """Ordered pairs, self-pairs included, per bin r[m-1] < d <= r[m].
 
     Bin 0 holds d <= r[0]; pairs beyond r[-1] are not counted.  The points
     are bisected at the median of their widest axis; each half is counted
     against itself recursively, and the pairs across the cut are counted
-    once and enter twice.  A block of at most ``_GP_BLOCK`` points is
-    traversed against itself.  ``cumulative=False`` places each distance by
-    a binary search over the radii instead of testing every radius.
-
-    With ``fork``, a forked child counts the left half of the first cut
-    while this process counts the rest: ``cKDTree.count_neighbors`` holds
-    the GIL, so only a second process puts a second core to work.  Where
-    no child starts, or it delivers less than the full count, this process
-    counts the left half itself.  The counts are exact integers, so they
-    equal the single-process ones.
+    once by a dual-tree traversal and enter twice.  A block of at most
+    ``_GP_BLOCK`` points takes its pairs from one vector of squared
+    distances, each unordered pair once, placed by a binary search over
+    the squared radii.  The radii are squared with ``pow`` and the pairs
+    compared as cKDTree compares them, so every boundary pair falls in the
+    bin a traversal would give it.
     """
-    if len(points) <= _GP_BLOCK:
-        tree = cKDTree(points)
-        return tree.count_neighbors(tree, r_grid, cumulative=False)
-    left, right = _median_halves(points)
-    n_bytes = len(r_grid) * np.dtype(np.int64).itemsize
-    with (_fork_counter(left, r_grid) if fork else io.BytesIO()) as child:
-        counts = _binned_pair_counts(right, r_grid) + 2 * _cross_pair_counts(left, right, r_grid)
-        # a buffered read returns short only at end of file
-        data = child.read(n_bytes)
-    if len(data) < n_bytes:
-        return counts + _binned_pair_counts(left, r_grid)
-    return counts + np.frombuffer(data, dtype=np.int64)
-
-
-def _fork_pays(n_points: int) -> bool:
-    """Whether the GP count of ``n_points`` points should fork a child.
-
-    Only from ``_GP_FORK_MIN`` points on, where the fork costs less than
-    it saves, and only where ``os.fork`` exists.  Not in a process with a
-    second thread: the child holds only the forking thread, and a lock
-    another thread held stays locked in it (importing numpy before
-    chaoscontrol leaves OpenBLAS a pool of threads).  Not in a process
-    started by multiprocessing, such as a sweep's pool worker: the pool
-    already keeps the cores busy.  And not without a second usable CPU.
-    """
-    if n_points < _GP_FORK_MIN or not hasattr(os, "fork"):
-        return False
-    if multiprocessing.parent_process() is not None:
-        return False
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-        cpus = len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):
-        threads, cpus = threading.active_count(), os.cpu_count() or 1
-    return threads == 1 and cpus >= 2
-
-
-@contextmanager
-def _fork_counter(points: np.ndarray, r_grid: np.ndarray):
-    """Fork a child that writes ``_binned_pair_counts(points)`` to a pipe.
-
-    Yields the read end of the pipe, or an empty stream if no child could
-    be started.  The child inherits ``points`` without pickling and leaves
-    through ``os._exit``, so it runs no exit handler and flushes no buffer
-    of the parent's.  On leaving, the parent reaps the child, and kills it
-    first if the block raised.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        yield io.BytesIO()
-        return
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        yield io.BytesIO()
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            counts = _binned_pair_counts(points, r_grid).astype(np.int64)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(counts.tobytes())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            yield pipe
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.waitpid(pid, 0)
+    if len(points) > _GP_BLOCK:
+        left, right = _median_halves(points)
+        return (_binned_pair_counts(left, r_grid) + _binned_pair_counts(right, r_grid)
+                + 2 * _cross_pair_counts(left, right, r_grid))
+    r2 = np.array([r ** 2.0 for r in r_grid.tolist()])
+    d2 = pdist(points, "sqeuclidean")
+    d2 = np.sort(d2[d2 <= r2[-1]])
+    counts = 2 * np.diff(np.searchsorted(d2, r2, "right"), prepend=0)
+    counts[0] += len(points)
+    return counts
 
 
 def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
@@ -249,16 +172,16 @@ def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
     The correlation integral C(r) is the fraction of ordered pairs (i, j),
     i != j, whose Euclidean distance satisfies d <= r, over all
     ``n_pairs = n*(n-1)`` such pairs; the dimension is the slope of log C
-    against log r over the ``GP_N_R`` thresholds.  The counts are
-    exact and need no distance matrix: dual-tree traversals (Gray & Moore,
-    NIPS 2000) over a median bisection of the points bin each distance
-    between neighbouring thresholds, visiting a pair split by a cut once
-    and counting it twice, and a cumulative sum turns the bins into the
-    closed-ball counts.  On a series of at least ``_GP_FORK_MIN`` points,
-    in a single-threaded process with a second usable CPU, a forked child
-    counts one half of the first cut while this process counts the rest.
-    Returns (nu, diagnostics); a curve of fewer than two positive C(r) (nu
-    nan) or a fit with R^2 < 0.9 is flagged on the diagnostics, not raised.
+    against log r over the ``GP_N_R`` thresholds.  The counts are exact
+    and need no full distance matrix: the points are bisected at medians
+    down to blocks of at most ``_GP_BLOCK`` points, whose own pairs come
+    from one distance vector each, and the pairs split by a cut from a
+    dual-tree traversal (Gray & Moore, NIPS 2000), visited once and
+    counted twice.  Each distance is binned between neighbouring
+    thresholds, and a cumulative sum turns the bins into the closed-ball
+    counts.  Returns (nu, diagnostics); a curve of fewer than two
+    positive C(r) (nu nan) or a fit with R^2 < 0.9 is flagged on the
+    diagnostics, not raised.
     """
     points = traj.samples
     n = points.shape[0]
@@ -270,7 +193,7 @@ def correlation_dimension(traj: Trajectory) -> tuple[float, GpDiagnostics]:
     if 0.0 < diam < np.inf:
         r_grid = np.geomspace(GP_R_MIN * diam, GP_R_MAX * diam, GP_N_R)
         # cumulative ordered-pair counts with d <= r, self-pairs (d = 0) removed
-        cum = np.cumsum(_binned_pair_counts(points, r_grid, fork=_fork_pays(n))) - n
+        cum = np.cumsum(_binned_pair_counts(points, r_grid)) - n
         n_pairs = n * (n - 1)
     else:
         r_grid = cum = np.array([])

@@ -1,12 +1,10 @@
-import multiprocessing
-import os
-import threading
-import time
+import math
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from chaoscontrol import (
     LorenzParams,
@@ -228,12 +226,12 @@ def _pair_count_sets():
     duplicates = np.repeat(base, rng.integers(1, 5, size=60), axis=0)
     lorenz = attractor_trajectory(PLANT_PARAMS, 399, seed=2).samples
     # several bisection levels deep
-    lorenz_long = attractor_trajectory(PLANT_PARAMS, 1199, seed=5).samples
-    # a 25 x 6 x 4 unit lattice, every node twice: each median cut falls
+    lorenz_long = attractor_trajectory(PLANT_PARAMS, 2599, seed=5).samples
+    # a 50 x 6 x 4 unit lattice, every node twice: each median cut falls
     # inside a run of tied coordinates and puts copies of some nodes on
     # both sides, and the distance shells 1 to sqrt 6 lie inside the
     # radius range
-    axes = np.meshgrid(np.arange(25.0), np.arange(6.0), np.arange(4.0), indexing="ij")
+    axes = np.meshgrid(np.arange(50.0), np.arange(6.0), np.arange(4.0), indexing="ij")
     nodes = np.stack([a.ravel() for a in axes], axis=1)
     lattice = np.repeat(nodes, 2, axis=0)[rng.permutation(2 * len(nodes))]
     return {
@@ -255,132 +253,46 @@ def test_pair_counts_match_brute_force_oracle(name):
     assert counts[-1] > 0
 
 
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+def _kdtree_boundary_sets():
+    rng = np.random.default_rng(11)
+    # pairs at distances x whose pow(x, 2.0) rounds below or above x * x:
+    # cKDTree squares a radius of exactly x with pow, so it drops the first
+    # kind of pair and keeps the second
+    x = rng.uniform(0.1, 100.0, 300_000).tolist()
+    below = [v for v in x if math.pow(v, 2.0) < v * v][:4]
+    above = [v for v in x if math.pow(v, 2.0) > v * v][:4]
+    pow_radii = np.sort(below + above)
+    pow_pairs = np.zeros((len(pow_radii) + 1, 3))
+    pow_pairs[1:, 0] = pow_radii
+    # 40 distinct points, each repeated 1-4 times: zero-distance pairs
+    base = rng.uniform(-1.0, 1.0, size=(40, 3))
+    duplicates = np.repeat(base, rng.integers(1, 5, size=40), axis=0)
+    # radii at pair distances whose squares give back the pair's squared
+    # distance exactly, the largest radius included
+    random = rng.normal(size=(200, 3))
+    d2 = np.unique(pdist(random, "sqeuclidean"))
+    on_radius = [d for d, s in zip(np.sqrt(d2).tolist(), d2.tolist()) if d ** 2.0 == s]
+    exact = np.sort(rng.choice(on_radius, GP_N_R, replace=False))
+    return {
+        "pow-boundary": (pow_pairs, pow_radii),
+        "duplicates": (duplicates, np.geomspace(0.05, 1.0, GP_N_R)),
+        "exact-distance-radii": (random, exact),
+    }
 
 
-def _await_fork_path(n):
-    # an earlier test's joined threads outlive their join by a moment, and
-    # the count forks only in a single-threaded process
-    deadline = time.monotonic() + 5.0
-    while not metrics._fork_pays(n) and time.monotonic() < deadline:
-        time.sleep(0.01)
-
-
-@pytest.fixture
-def fork_small_counts(monkeypatch):
-    # the fork path on a short series, as on a host with two usable CPUs
-    monkeypatch.setattr(metrics, "_GP_FORK_MIN", _GP_BLOCK + 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    _await_fork_path(_GP_BLOCK + 1)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_count_leaves_no_child(monkeypatch, fork_small_counts):
-    forks = []
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", counting_fork)
-    points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points))
-    assert forks == [1]
-    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
-    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
-    assert _no_child_left()
-
-
-def test_count_without_fork_matches_oracle(monkeypatch, fork_small_counts):
-    # a platform without os.fork (Windows) counts in one process
-    monkeypatch.delattr(os, "fork", raising=False)
-    points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points))
-    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
-    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_count_forks_only_where_it_pays(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    n = metrics._GP_FORK_MIN
-    _await_fork_path(n)
-    assert metrics._fork_pays(n)
-    assert not metrics._fork_pays(n - 1)
-    with monkeypatch.context() as one_cpu:
-        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        one_cpu.setattr(os, "cpu_count", lambda: 1)
-        assert not metrics._fork_pays(n)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        assert not metrics._fork_pays(n)
-    finally:
-        stop.set()
-        other.join()
-    # a sweep's pool worker, forked from this process with its CPU count
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        assert not pool.submit(metrics._fork_pays, n).result()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_interrupted_count_kills_and_reaps_its_child(monkeypatch, fork_small_counts):
-    # the parent is interrupted while the child, a cut deeper, still counts
-    parent = os.getpid()
-
-    def interrupted(left, right, r_grid):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    monkeypatch.setattr(metrics, "_cross_pair_counts", interrupted)
-    points = attractor_trajectory(PLANT_PARAMS, 4 * _GP_BLOCK, seed=3).samples
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        correlation_dimension(Trajectory(0.05, points))
-    assert time.monotonic() - start < 10
-    assert _no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failed_fork_falls_back_to_parent_count(monkeypatch, fork_small_counts):
-    def no_fork():
-        raise OSError("Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    points = attractor_trajectory(PLANT_PARAMS, 2 * _GP_BLOCK, seed=3).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points))
-    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
-    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("fault", ["child-dies", "child-short-count"])
-def test_failed_child_falls_back_to_parent_count(monkeypatch, fork_small_counts, fault):
-    # the child dies before it writes, or writes half the bins and exits
-    parent, real_counts, child_calls = os.getpid(), metrics._binned_pair_counts, []
-
-    def faulty_in_child(points, r_grid, **kwargs):
-        if os.getpid() == parent or child_calls:
-            return real_counts(points, r_grid, **kwargs)
-        child_calls.append(1)
-        if fault == "child-dies":
-            os._exit(1)
-        return real_counts(points, r_grid)[: len(r_grid) // 2]
-
-    monkeypatch.setattr(metrics, "_binned_pair_counts", faulty_in_child)
-    points = attractor_trajectory(PLANT_PARAMS, 599, seed=2).samples
-    _, diag = correlation_dimension(Trajectory(0.05, points))
-    counts = np.rint(diag.c * diag.n_pairs).astype(np.int64)
-    np.testing.assert_array_equal(counts, pair_counts(points, diag.r))
-    assert _no_child_left()
+@pytest.mark.parametrize("name", ["pow-boundary", "duplicates", "exact-distance-radii"])
+def test_block_count_matches_kdtree_arithmetic(name):
+    # a block's pairs come from squared distances, not from a tree: each
+    # pair on a radius must fall in the bin cKDTree's arithmetic gives it
+    points, radii = _kdtree_boundary_sets()[name]
+    assert len(points) <= _GP_BLOCK
+    tree = cKDTree(points)
+    expected = tree.count_neighbors(tree, radii, cumulative=False)
+    np.testing.assert_array_equal(metrics._binned_pair_counts(points, radii), expected)
+    if name == "pow-boundary":
+        # the sqrt-distance oracle keeps every pair on its radius, so it
+        # cannot tell the two roundings apart
+        assert (pair_counts(points, radii) != np.cumsum(expected) - len(points)).any()
 
 
 @pytest.mark.parametrize(

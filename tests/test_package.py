@@ -99,26 +99,6 @@ def test_only_errors_names_memory_error():
     assert namers == {"errors.py"}
 
 
-def _os_fork_scopes(node, scope="<module>"):
-    """Name of the innermost function around each ``os.fork`` under ``node``."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        scope = node.name
-    if (isinstance(node, ast.Attribute) and node.attr == "fork"
-            and isinstance(node.value, ast.Name) and node.value.id == "os"):
-        yield scope
-    for child in ast.iter_child_nodes(node):
-        yield from _os_fork_scopes(child, scope)
-
-
-def test_only_the_gp_fork_counter_names_os_fork():
-    # one function starts a child by hand, so one place kills and reaps it
-    forkers = set()
-    for path in Path(chaoscontrol.__file__).parent.glob("*.py"):
-        for scope in _os_fork_scopes(ast.parse(path.read_text())):
-            forkers.add((path.name, scope))
-    assert forkers == {("metrics.py", "_fork_counter")}
-
-
 def _traced_names() -> dict:
     """``SELF_METRIC`` of the bench tracer, read without importing it."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
