@@ -120,7 +120,7 @@ def _steps(args, cfg: ExperimentConfig, low: int) -> int:
 def _cmd_simulate(args, cfg: ExperimentConfig, spec: SweepSpec) -> int:
     steps = _steps(args, cfg, 1)
     kind = "ref_train" if args.state == "train" else "ref_plant"
-    traj = attractor_series(cfg, kind, 0, 0, steps)
+    traj = attractor_series(cfg, kind, 0, steps)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
     write_trajectory_csv(path, traj, timestamp=not args.no_timestamp)

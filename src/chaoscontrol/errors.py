@@ -83,7 +83,8 @@ def check_prediction(v, step: int) -> list:
 
 
 class IllConditionedError(ChaosControlError):
-    """The regularized normal-equations solve failed."""
+    """The ridge fit failed: its design or targets are not finite, its QR or
+    SVD factorization failed, or the readout it produced is not finite."""
     label = "training failed"
 
 

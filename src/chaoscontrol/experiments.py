@@ -6,14 +6,23 @@ Every random draw in an experiment comes from a ``numpy.random.Generator``
 seeded through one documented counter scheme and nothing else (no global
 RNG state):
 
-    SeedSequence((master_seed, KIND_ID[kind], N, realization, stream))
+    SeedSequence((master_seed, KIND_ID[label], N, realization, stream))
 
-where ``kind`` is the predictor kind or reference-climate label, ``N`` the
-training length (0 for reference rows), ``realization`` the cell's index,
-and ``stream`` separates independent uses (0 = trajectory initial
-condition, 1 = reservoir sampling).  Two runs with the same master seed
-therefore produce identical results cell by cell, independent of worker
-scheduling; output rows are sorted by (kind, N, seed) before writing.
+Stream 0 draws a series' initial condition and is keyed by the regime
+alone: label ``ref_train`` with N = 0 for every training-regime series
+(both predictor kinds and the ``ref_train`` reference cell), ``ref_plant``
+with N = 0 for the plant regime.  So every cell of a realization trains on
+a prefix of that realization's ``ref_train`` series, and the classic and
+NG-RC cells of one realization are paired.  Stream 1 samples a classic
+cell's reservoir and is keyed by ("classic", N, realization).  Two runs
+with the same master seed therefore produce identical results cell by
+cell, independent of worker scheduling; output rows are sorted by
+(kind, N, seed) before writing.
+
+Within a process, ``attractor_series`` keeps the longest series it has
+integrated per regime and serves shorter requests as copies of its prefix
+and longer ones by continuing it, which is bit-identical to integrating
+the whole series at once (see ``attractor_series``).
 
 CSV schemas: trajectory files ``t,x,y,z`` (the training snapshot adds
 ``phase``); sweep file ``kind,N,seed,lambda_max,corr_dim,status``;
@@ -46,7 +55,7 @@ from .dynamics import (
     simulate,
     step_rk4,
 )
-from .errors import FAILURES, ConfigError, as_failure
+from .errors import FAILURES, ConfigError, IntegrationError, as_failure
 from .esn import EsnConfig
 from .esn import train as esn_train
 from .metrics import ClimateStats, climate_stats
@@ -93,9 +102,15 @@ MAX_STEPS = 100_000_000
 # worker pool, and at A4's mean of 40 ms a cell this many run over an hour
 MAX_SWEEP_CELLS = 100_000
 
-_KIND_IDS = {"classic": 0, "ngrc": 1, "ref_train": 2, "ref_plant": 3}
+_KIND_IDS = {"classic": 0, "ref_train": 2, "ref_plant": 3}
 _STREAM_TRAJECTORY = 0
 _STREAM_RESERVOIR = 1
+# samples of a regime's series that ``attractor_series`` retains: 24 MB,
+# against 10,001 samples (240 KB) for a default reference series
+MEMO_MAX_SAMPLES = 1_000_000
+# regime label -> (key, samples) of the longest series integrated so far
+# for the latest key of that regime; at most two entries
+_SERIES = {}
 # rows per block of the trajectory CSV encoder (see ``_encode_rows``)
 CSV_BLOCK = 4096
 TRAJECTORY_COLUMNS = ("t", "x", "y", "z")
@@ -288,28 +303,62 @@ def derive_seed_sequence(
 
 
 def attractor_series(
-    cfg: ExperimentConfig, kind: str, n: int, realization: int, n_steps: int
+    cfg: ExperimentConfig, kind: str, realization: int, n_steps: int
 ) -> Trajectory:
-    """Seeded attractor series of one cell, ``n_steps`` intervals long.
+    """Seeded attractor series of one realization, ``n_steps`` intervals long.
 
-    The initial condition comes from the cell's trajectory stream; it is
-    relaxed onto the attractor and then simulated, under the plant
-    parameters for ``ref_plant`` and the training parameters otherwise.
-    A cell's training series is ``attractor_series(cfg, kind, n, r, n - 1)``.
+    ``kind`` picks the regime: the plant parameters for ``ref_plant``, the
+    training parameters for ``ref_train`` and both predictor kinds, which
+    share the ``ref_train`` trajectory stream.  The initial condition is
+    relaxed onto the attractor and then simulated, so a shorter series is
+    a bitwise prefix of a longer one.  A cell's training series is
+    ``attractor_series(cfg, kind, r, n - 1)``.
+
+    Per regime the longest series integrated so far, up to
+    ``MEMO_MAX_SAMPLES`` samples, is kept for the latest (master seed,
+    realization, parameters, integrator, transient).  A request it covers
+    gets a copy of its prefix; a longer one continues it from its last
+    sample, bit-identical to one long integration.  Racing threads can
+    only duplicate work.
+
+    Raises:
+        ValueError: if ``n_steps < 1``, as ``simulate`` does.
+        IntegrationError: its step counts from the start of the series.
     """
-    params = cfg.plant_params() if kind == "ref_plant" else cfg.train_params()
-    rng = np.random.default_rng(
-        derive_seed_sequence(cfg.master_seed, kind, n, realization, _STREAM_TRAJECTORY)
-    )
-    u0 = relax_to_attractor(
-        random_initial_state(rng), params, cfg.integrator(), cfg.transient_steps
-    )
-    return simulate(u0, params, cfg.integrator(), n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    regime = "ref_plant" if kind == "ref_plant" else "ref_train"
+    params = cfg.plant_params() if regime == "ref_plant" else cfg.train_params()
+    integ = cfg.integrator()
+    key = (cfg.master_seed, realization, params, integ, cfg.transient_steps)
+    held = _SERIES.get(regime)
+    if held is not None and held[0] == key:
+        samples = held[1]
+    else:
+        rng = np.random.default_rng(
+            derive_seed_sequence(cfg.master_seed, regime, 0, realization, _STREAM_TRAJECTORY)
+        )
+        u0 = relax_to_attractor(
+            random_initial_state(rng), params, integ, cfg.transient_steps
+        )
+        samples = u0[np.newaxis]
+    done = len(samples) - 1
+    if done < n_steps:
+        try:
+            tail = simulate(samples[-1], params, integ, n_steps - done).samples
+        except IntegrationError as exc:
+            raise IntegrationError(str(exc), step=exc.step + done) from exc
+        samples = np.concatenate([samples[:-1], tail])
+        _SERIES[regime] = (
+            key, samples if len(samples) <= MEMO_MAX_SAMPLES
+            else samples[:MEMO_MAX_SAMPLES].copy()
+        )
+    return Trajectory(integ.dt, samples[: n_steps + 1].copy())
 
 
 def _fit_cell(cfg: ExperimentConfig, kind: str, n: int, realization: int) -> tuple:
     """(training, model) of one predictor cell: its N-sample series and fit."""
-    training = attractor_series(cfg, kind, n, realization, n - 1)
+    training = attractor_series(cfg, kind, realization, n - 1)
     if kind == "classic":
         seq = derive_seed_sequence(cfg.master_seed, kind, n, realization, _STREAM_RESERVOIR)
         seed = int(seq.generate_state(1, np.uint32)[0])
@@ -357,12 +406,10 @@ class SingleRunReport:
 def run_single(cfg: ExperimentConfig, realization: int = 0) -> SingleRunReport:
     """Train, switch the plant regime, control, and measure all climates.
 
-    The reference is the unforced training-regime series from the training
-    start, ``max(n - 1, horizon)`` intervals long.  Only the training part
-    is simulated before control; the rest is appended after control
-    returns, so a run that diverges never pays for it.  RK4 continues from
-    the last training sample exactly as one long simulation would, so the
-    reference is bit-identical to simulating it in one call.
+    The reference is the realization's unforced ``ref_train`` series,
+    ``max(n - 1, horizon)`` intervals long, whose prefix is the training
+    series.  It is taken after control returns, so a run that diverges
+    never pays for the part past the training end.
 
     Raises:
         DivergenceError: if prediction or control blows up (phase tagged).
@@ -370,14 +417,7 @@ def run_single(cfg: ExperimentConfig, realization: int = 0) -> SingleRunReport:
     integ = cfg.integrator()
     n = cfg.training_steps
     training, run = _control_cell(cfg, cfg.kind, n, realization)
-    reference = training
-    if cfg.horizon > n - 1:
-        tail = simulate(
-            training.samples[-1], cfg.train_params(), integ, cfg.horizon - (n - 1)
-        )
-        reference = Trajectory(
-            integ.dt, np.concatenate([training.samples, tail.samples[1:]])
-        )
+    reference = attractor_series(cfg, "ref_train", realization, max(n - 1, cfg.horizon))
     u0c = run.controlled.samples[0]
     uncontrolled = simulate(u0c, cfg.plant_params(), integ, cfg.horizon)
     return SingleRunReport(
@@ -429,7 +469,7 @@ def _run_cell(args) -> SweepRow:
     lam = nu = float("nan")
     try:
         if kind in REFERENCE_KINDS:
-            series = attractor_series(cfg, kind, n, realization, cfg.horizon)
+            series = attractor_series(cfg, kind, realization, cfg.horizon)
         else:
             series = _control_cell(cfg, kind, n, realization)[1].controlled
         stats = climate_stats(series)
@@ -482,9 +522,12 @@ def run_sweep(
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    cells = [(kind, n) for kind in spec.kinds for n in spec.training_lengths]
-    cells += [(kind, 0) for kind in REFERENCE_KINDS]
-    grid = [(cfg, kind, n, r) for kind, n in cells for r in range(spec.n_realizations)]
+    # realization-outermost and ref_train first, so that consecutive cells
+    # share the realization's series (see ``attractor_series``)
+    cells = [("ref_train", 0)]
+    cells += [(kind, n) for kind in spec.kinds for n in spec.training_lengths]
+    cells += [("ref_plant", 0)]
+    grid = [(cfg, kind, n, r) for r in range(spec.n_realizations) for kind, n in cells]
     # the fork start method launches every worker up front, so never ask
     # for more than there are cells or cores
     workers = min(jobs, len(grid), os.cpu_count() or 1)
@@ -646,7 +689,7 @@ def export_training_snapshot(
     """
     os.makedirs(out_dir, exist_ok=True)
     n = cfg.training_steps
-    training = attractor_series(cfg, cfg.kind, n, 0, n - 1)
+    training = attractor_series(cfg, cfg.kind, 0, n - 1)
     if cfg.kind == "classic":
         boundary = cfg.washout_for(n)
         discard_phase = "washout"

@@ -446,7 +446,7 @@ def monomial_rung(cfg, realization: int) -> tuple:
     and ``ngrc_tangent`` applies.
     """
     n = cfg.training_steps
-    training = attractor_series(cfg, "classic", n, realization, n - 1)
+    training = attractor_series(cfg, "classic", realization, n - 1)
     ncfg = NgrcConfig(k=1, orders=(1, 2, 3, 4), ridge_beta=1e-4)
     design, _ = build_design(training, ncfg)
     w = ridge_fit(design, training.samples[ncfg.warmup + 1 :], ncfg.ridge_beta)
@@ -465,7 +465,7 @@ def noisy_ngrc_fit(cfg, realization: int, noise: float, seed: int) -> NgrcModel:
     rho = 28 and dt = 0.025, is ``cfg``'s to set.  The model continues
     from the noisy series' end.
     """
-    samples = attractor_series(cfg, "ngrc", 400, realization, 399).samples
+    samples = attractor_series(cfg, "ngrc", realization, 399).samples
     jitter = np.random.default_rng(seed).standard_normal(samples.shape)
     noisy = Trajectory(cfg.dt, samples + noise * samples.std(axis=0) * jitter)
     ncfg = NgrcConfig(k=2, s=1, orders=(1, 2), ridge_beta=2.5e-6)

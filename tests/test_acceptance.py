@@ -62,8 +62,8 @@ def _in_band(value: float, band) -> bool:
 def test_a1_regime_climates():
     cfg = ExperimentConfig(master_seed=0)
     t0 = time.monotonic()
-    x = climate_stats(attractor_series(cfg, "ref_train", 0, 0, 10_000))
-    y = climate_stats(attractor_series(cfg, "ref_plant", 0, 0, 10_000))
+    x = climate_stats(attractor_series(cfg, "ref_train", 0, 10_000))
+    y = climate_stats(attractor_series(cfg, "ref_plant", 0, 10_000))
     elapsed = time.monotonic() - t0
     ok = (
         _in_band(x.lambda_max, X_LAMBDA)
@@ -281,7 +281,7 @@ def test_a8_integrator_order_and_zero_gain():
     order = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
 
     cfg = ExperimentConfig(master_seed=0)
-    plain = attractor_series(cfg, "ref_plant", 0, 0, 400)
+    plain = attractor_series(cfg, "ref_plant", 0, 400)
     u0 = plain.samples[0]
 
     class _FrozenStepper:

@@ -176,7 +176,7 @@ def _text_input(directory, command, head):
         path.write_text(head + "horizon = 40\n", encoding="utf-8")
         return ["simulate", "--config", str(path)]
     path = directory / "utf8.csv"
-    write_trajectory_csv(path, attractor_series(ExperimentConfig(), "ref_train", 0, 0, 300))
+    write_trajectory_csv(path, attractor_series(ExperimentConfig(), "ref_train", 0, 300))
     path.write_bytes(head.encode("utf-8") + path.read_bytes())
     return ["metrics", "--input", str(path)]
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from chaoscontrol import (
     experiments,
     simulate,
 )
-from chaoscontrol.errors import ChaosControlError, ConfigError
+from chaoscontrol.errors import ChaosControlError, ConfigError, IntegrationError
 from chaoscontrol.experiments import (
     CSV_BLOCK,
     MAX_STEPS,
@@ -206,7 +208,7 @@ def test_seed_scheme_separates_cells():
         (kind, n, r, stream): np.random.default_rng(
             derive_seed_sequence(0, kind, n, r, stream)
         ).integers(0, 2**63)
-        for kind in ("classic", "ngrc")
+        for kind in ("classic", "ref_train", "ref_plant")
         for n in (250, 500)
         for r in (0, 1)
         for stream in (0, 1)
@@ -250,7 +252,7 @@ def test_plant_reference_aggregate_climate():
     cfg = ExperimentConfig(master_seed=0)
     lams, nus = [], []
     for realization in range(6):
-        stats = climate_stats(attractor_series(cfg, "ref_plant", 0, realization, 10_000))
+        stats = climate_stats(attractor_series(cfg, "ref_plant", realization, 10_000))
         lams.append(stats.lambda_max)
         nus.append(stats.corr_dim)
     assert 1.56 <= np.mean(nus) <= 1.82
@@ -295,6 +297,153 @@ def test_single_run_reference_is_one_simulation(training_steps, horizon):
     if training_steps - 1 >= horizon:
         # nothing is appended: the reference is the training series
         assert np.array_equal(report.reference.samples, report.training.samples)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh series memo for one test; ``cold`` integrates without it."""
+    monkeypatch.setattr(experiments, "_SERIES", {})
+
+    def cold(cfg, kind, realization, n_steps):
+        saved = dict(experiments._SERIES)
+        experiments._SERIES.clear()
+        try:
+            return attractor_series(cfg, kind, realization, n_steps)
+        finally:
+            experiments._SERIES.clear()
+            experiments._SERIES.update(saved)
+
+    return cold
+
+
+def test_warm_series_equal_cold_and_one_integration(empty_memo):
+    # both predictor kinds and ref_train share one series per realization:
+    # every request, served from the memo or not, is a prefix of one
+    # integration from the ref_train trajectory stream
+    cfg = ExperimentConfig(master_seed=5, transient_steps=100)
+    rng = np.random.default_rng(derive_seed_sequence(5, "ref_train", 0, 1, 0))
+    u0 = experiments.relax_to_attractor(
+        experiments.random_initial_state(rng), cfg.train_params(), cfg.integrator(), 100
+    )
+    whole = simulate(u0, cfg.train_params(), cfg.integrator(), 1500).samples
+    requests = [("ngrc", 249), ("classic", 999), ("ref_train", 600), ("ngrc", 1500),
+                ("classic", 1), ("ref_train", 1200)]
+    for kind, steps in requests:
+        warm = attractor_series(cfg, kind, 1, steps)
+        assert warm.samples.tobytes() == empty_memo(cfg, kind, 1, steps).samples.tobytes()
+        assert warm.samples.tobytes() == whole[: steps + 1].tobytes()
+    # a request that differs in any other part of the key integrates afresh
+    for other in (replace(cfg, master_seed=6), replace(cfg, transient_steps=101),
+                  replace(cfg, rho_train=166.2), replace(cfg, substeps=6)):
+        attractor_series(cfg, "classic", 1, 200)
+        got = attractor_series(other, "classic", 1, 100)
+        assert got.samples.tobytes() == empty_memo(other, "classic", 1, 100).samples.tobytes()
+    # the plant regime keeps its own stream
+    plant = attractor_series(cfg, "ref_plant", 1, 300)
+    assert not np.array_equal(plant.samples, whole[:301])
+    assert plant.samples.tobytes() == empty_memo(cfg, "ref_plant", 1, 300).samples.tobytes()
+
+
+def test_single_run_reference_is_the_realizations_ref_train_series(empty_memo):
+    cfg = ExperimentConfig(kind="classic", training_steps=900, horizon=1100, master_seed=2)
+    report = run_single(cfg, realization=1)
+    reference = empty_memo(cfg, "ref_train", 1, 1100)
+    assert report.reference.samples.tobytes() == reference.samples.tobytes()
+
+
+def test_returned_series_are_copies(empty_memo):
+    cfg = ExperimentConfig(transient_steps=50)
+    first = attractor_series(cfg, "ref_train", 0, 400)
+    first.samples[:] = 0.0
+    shorter = attractor_series(cfg, "classic", 0, 300)
+    shorter.samples[:] = 0.0
+    again = attractor_series(cfg, "ngrc", 0, 500)
+    assert again.samples.tobytes() == empty_memo(cfg, "ngrc", 0, 500).samples.tobytes()
+
+
+def test_memo_holds_one_series_per_regime(empty_memo, monkeypatch):
+    cfg = ExperimentConfig(transient_steps=50)
+    attractor_series(cfg, "ref_train", 0, 300)
+    attractor_series(cfg, "ref_plant", 0, 300)
+    attractor_series(cfg, "classic", 1, 200)
+    attractor_series(replace(cfg, master_seed=1), "ref_plant", 0, 100)
+    held = {regime: (key[:2], len(samples))
+            for regime, (key, samples) in experiments._SERIES.items()}
+    assert held == {"ref_train": ((0, 1), 201), "ref_plant": ((1, 0), 101)}
+    # past the cap only a prefix is kept, and a later request continues it
+    monkeypatch.setattr(experiments, "MEMO_MAX_SAMPLES", 50)
+    long = attractor_series(cfg, "ngrc", 2, 200)
+    assert len(experiments._SERIES["ref_train"][1]) == 50
+    assert attractor_series(cfg, "ngrc", 2, 120).samples.tobytes() == long.samples[:121].tobytes()
+
+
+def test_memo_hit_keeps_simulate_refusal_and_extension_counts_steps(empty_memo):
+    cfg = ExperimentConfig(transient_steps=50)
+    attractor_series(cfg, "ref_train", 0, 100)
+    with pytest.raises(ValueError, match="n_steps"):
+        attractor_series(cfg, "ref_train", 0, 0)
+    # at dt = 0.2 and one substep RK4 leaves the attractor at step 4
+    blowup = ExperimentConfig(dt=0.2, substeps=1, transient_steps=0)
+    attractor_series(blowup, "ref_train", 0, 2)
+    with pytest.raises(IntegrationError) as warm:
+        attractor_series(blowup, "ref_train", 0, 200)
+    with pytest.raises(IntegrationError) as cold:
+        empty_memo(blowup, "ref_train", 0, 200)
+    assert warm.value.step == cold.value.step == 4
+
+
+def test_racing_threads_get_the_cold_series(empty_memo):
+    # the memo has no lock: threads that race on it may repeat work, but
+    # every series they get equals the one integrated without the memo
+    cfg = ExperimentConfig(transient_steps=20)
+    requests = [(kind, r, steps) for kind in ("ref_train", "ngrc", "ref_plant")
+                for r in (0, 1) for steps in (40, 150, 300)]
+    want = {req: empty_memo(cfg, *req).samples.tobytes() for req in requests}
+    order = np.random.default_rng(0).permutation(len(requests) * 8) % len(requests)
+    mismatches = []
+
+    def worker(offset):
+        for i in order[offset::4]:
+            got = attractor_series(cfg, *requests[i])
+            if got.samples.tobytes() != want[requests[i]]:
+                mismatches.append(requests[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+class _Forgetful(dict):
+    """A memo that retains nothing: every request integrates from scratch."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_mixed_grid_bytes_do_not_depend_on_jobs_or_memo(monkeypatch, tmp_path):
+    # lengths below and above the horizon, so cells both cut and continue
+    # the realization's ref_train series
+    spec = SweepSpec(training_lengths=(150, 400), n_realizations=2)
+    cfg = ExperimentConfig(horizon=300, transient_steps=100, master_seed=4)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    outs = {}
+    for name, jobs, memo in (("serial", 1, {}), ("pooled", 2, {}), ("cold", 1, _Forgetful())):
+        monkeypatch.setattr(experiments, "_SERIES", memo)
+        outs[name] = tmp_path / name
+        run_sweep(spec, cfg, out_dir=str(outs[name]), jobs=jobs, timestamp=False)
+    for name in ("sweep.csv", "summary.csv", "sweep_lambda.svg", "sweep_nu.svg"):
+        serial = (outs["serial"] / name).read_bytes()
+        assert (outs["pooled"] / name).read_bytes() == serial, name
+        assert (outs["cold"] / name).read_bytes() == serial, name
 
 
 def test_prepare_trained_model_matches_single_run():
@@ -393,11 +542,12 @@ def test_unnamed_package_error_records_a_failed_row(monkeypatch):
     monkeypatch.setattr(experiments, "climate_stats", stats_failing_first)
     spec = SweepSpec(training_lengths=(300,), n_realizations=1, kinds=("classic",))
     result = run_sweep(spec, ExperimentConfig(horizon=1200), jobs=1)
+    # the grid runs a realization's ref_train cell first
     assert [(r.kind, r.status) for r in result.rows] == [
-        ("classic", "failed"), ("ref_plant", "ok"), ("ref_train", "ok")
+        ("classic", "ok"), ("ref_plant", "ok"), ("ref_train", "failed")
     ]
-    assert math.isnan(result.rows[0].lambda_max)
-    assert summary_for(result, "classic", 300).n_ok == 0
+    assert math.isnan(result.rows[2].lambda_max)
+    assert summary_for(result, "ref_train", 0).n_ok == 0
 
 
 @pytest.mark.parametrize(
@@ -491,7 +641,7 @@ def test_snapshot_csv_matches_csv_writer_oracle(tmp_path, timestamp):
     # the washout ends inside the first block and the rows span two blocks
     cfg = ExperimentConfig(kind="classic", training_steps=5000)
     csv_path = export_training_snapshot(cfg, str(tmp_path), timestamp=timestamp)
-    training, washout = attractor_series(cfg, "classic", 5000, 0, 4999), cfg.washout_for(5000)
+    training, washout = attractor_series(cfg, "classic", 0, 4999), cfg.washout_for(5000)
     phases = ["washout"] * washout + ["train"] * (5000 - washout)
     got = _stripped_stamp(open(csv_path, "rb").read(), timestamp)
     assert got == timed_csv_bytes(training, ["t", "x", "y", "z", "phase"], phases)

@@ -164,7 +164,7 @@ def test_rosenstein_reads_low_in_the_paper_regimes(kind, params):
     # each, 20k-interval oracle), against A7's 15% at rho = 28; the
     # climate bands are in Rosenstein units.  A 5k-interval oracle reads
     # 0.651 (X) and 0.606 (Y) on these series.
-    traj = attractor_series(ExperimentConfig(), kind, 0, 0, 10_000)
+    traj = attractor_series(ExperimentConfig(), kind, 0, 10_000)
     lam, _ = largest_lyapunov(traj)
     oracle = benettin_lyapunov(params, traj.samples[0], n_steps=5_000, transient_steps=200)
     assert 0.55 <= lam / oracle <= 0.75
@@ -174,7 +174,7 @@ def test_rosenstein_reads_low_in_the_paper_regimes(kind, params):
 def test_lyapunov_flags_low_fit_quality(kind, low):
     # diagnostic only: the X reference fits with R^2 0.889-0.892 at master
     # seeds 0-2 and the Y reference with 0.945-0.962; no status moves
-    _, diag = largest_lyapunov(attractor_series(ExperimentConfig(), kind, 0, 0, 10_000))
+    _, diag = largest_lyapunov(attractor_series(ExperimentConfig(), kind, 0, 10_000))
     assert diag.low_fit_quality is low
     assert (diag.r_squared < 0.9) is low
 
