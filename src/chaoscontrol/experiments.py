@@ -322,9 +322,13 @@ def attractor_series(
     only duplicate work.
 
     Raises:
-        ValueError: if ``n_steps < 1``, as ``simulate`` does.
+        ValueError: ``kind`` is not a predictor or reference label, or
+            ``n_steps < 1`` as ``simulate`` refuses it.
         IntegrationError: its step counts from the start of the series.
     """
+    labels = PREDICTOR_KINDS + REFERENCE_KINDS
+    if kind not in labels:
+        raise ValueError(f"kind must be one of {labels}, got {kind!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     regime = "ref_plant" if kind == "ref_plant" else "ref_train"

@@ -39,6 +39,9 @@ _MAX_LIBRARY_ENTRIES = 10_000_000
 # a cell the design takes 0.8 GB, and building and fitting it each hold a
 # second array of its size
 _MAX_DESIGN_CELLS = 100_000_000
+# design rows evaluated per poly_features call: at the Lorenz library (34
+# monomials up to order 4) one block's gathered factors take about 0.5 MB
+_DESIGN_BLOCK_ROWS = 512
 
 
 def _monomial_count(input_dim: int, orders) -> int:
@@ -183,22 +186,15 @@ class NgrcModel:
         return _NgrcStepper(self, self.tap_buffer[-span:])
 
 
-def _products(padded: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Multiply the gathered factor columns of ``table`` left to right."""
-    out = padded.take(table[0], axis=-1)
-    for factor in table[1:]:
-        out *= padded[..., factor]
-    return out
-
-
 def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
     """Evaluate every library monomial at v, in canonical order.
 
-    Works on one vector or on rows of a 2-D array.
-    The product order is the contract: each monomial is its variables
-    multiplied left to right in index-tuple order, (x0 * x0) * x2 for
-    (0, 0, 2), and the padding factors of shorter monomials multiply by an
-    exact 1.0 afterwards.  Any reimplementation must keep that order.
+    Works on one vector or on rows of a 2-D array; the design and the
+    stepper both evaluate the map here and nowhere else.  The product order
+    is the contract: each monomial is its variables multiplied left to right
+    in index-tuple order, (x0 * x0) * x2 for (0, 0, 2), and the padding
+    factors of shorter monomials multiply by an exact 1.0 afterwards, as one
+    ``np.multiply.reduce`` over the gathered factor axis does.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != lib.input_dim:
@@ -206,7 +202,7 @@ def poly_features(v: np.ndarray, lib: MonomialLibrary) -> np.ndarray:
             f"expected {lib.input_dim} variables, got {v.shape[-1]}"
         )
     padded = np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1)
-    return _products(padded, lib.index_table)
+    return np.multiply.reduce(padded[..., lib.index_table], axis=-2)
 
 
 def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -214,6 +210,7 @@ def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndar
 
     Row t (for warm-up <= t <= T-2) holds the features of the taps ending at
     t and the target data(t+1) - data(t): T - k*s - 1 rows in total.
+    ``poly_features`` fills the design ``_DESIGN_BLOCK_ROWS`` rows at a time.
 
     Raises:
         InsufficientDataError: series shorter than warm-up + 2.
@@ -234,13 +231,13 @@ def build_design(data: Trajectory, cfg: NgrcConfig) -> tuple[np.ndarray, np.ndar
             f"{_MAX_DESIGN_CELLS} cells"
         )
     lib = build_library(data.dim * cfg.k, cfg.orders)
-    # tap i of row t is sample t - i*s: taps newest first
-    taps = np.concatenate(
-        [samples[cfg.warmup - i * cfg.s : t_total - 1 - i * cfg.s] for i in range(cfg.k)],
-        axis=1,
-    )
-    design = poly_features(taps, lib)
-    targets = samples[cfg.warmup + 1 :] - samples[cfg.warmup : -1]
+    design, w, s = np.empty((rows, count)), cfg.warmup, cfg.s
+    for t in range(w, t_total - 1, _DESIGN_BLOCK_ROWS):
+        stop = min(t + _DESIGN_BLOCK_ROWS, t_total - 1)
+        # rows t to stop-1; tap i of row r is sample r - i*s: taps newest first
+        taps = np.concatenate([samples[t - i * s : stop - i * s] for i in range(cfg.k)], axis=1)
+        design[t - w : stop - w] = poly_features(taps, lib)
+    targets = samples[w + 1 :] - samples[w:-1]
     return design, targets
 
 
@@ -264,21 +261,18 @@ class _NgrcStepper:
     """Closed-loop iterator over v(t+dt) = v(t) + W_out r(t)."""
 
     def __init__(self, model: NgrcModel, history: np.ndarray):
-        self._k, self._s = model.config.k, model.config.s
+        self._s = model.config.s
         self._W = model.W_out
         self._buf = np.array(history, dtype=float)  # ring of tap_span samples
         self.dim = self._buf.shape[1]
-        self._table = build_library(self._k * self.dim, model.config.orders).index_table
-        # taps newest first, then the 1.0 the padded index table points at
-        self._taps = np.ones(self._k * self.dim + 1)
+        self._lib = build_library(model.config.k * self.dim, model.config.orders)
         self._step = 0
 
     def step(self) -> list:
         """Emit the next sample as Python floats and append it to the taps."""
-        d, s = self.dim, self._s
-        for i in range(self._k):
-            self._taps[i * d : (i + 1) * d] = self._buf[-1 - i * s]
-        v = self._buf[-1] + self._W @ _products(self._taps, self._table)
+        # every s-th sample back from the newest: the design's tap layout
+        taps = self._buf[:: -self._s].ravel()
+        v = self._buf[-1] + self._W @ poly_features(taps, self._lib)
         self._step += 1
         floats = check_prediction(v, self._step)
         if len(self._buf) > 1:

@@ -23,6 +23,8 @@ from chaoscontrol.errors import ChaosControlError, ConfigError, IntegrationError
 from chaoscontrol.experiments import (
     CSV_BLOCK,
     MAX_STEPS,
+    PREDICTOR_KINDS,
+    REFERENCE_KINDS,
     ExperimentConfig,
     SweepRow,
     SweepSpec,
@@ -390,6 +392,25 @@ def test_memo_hit_keeps_simulate_refusal_and_extension_counts_steps(empty_memo):
     with pytest.raises(IntegrationError) as cold:
         empty_memo(blowup, "ref_train", 0, 200)
     assert warm.value.step == cold.value.step == 4
+
+
+@pytest.mark.parametrize("kind", ["ref_plnt", "ref", "esn", "", "NGRC"])
+def test_unknown_series_label_refused_before_any_work(empty_memo, monkeypatch, kind):
+    # a misspelt label used to fall through to the training regime
+    cfg = ExperimentConfig(transient_steps=50)
+    attractor_series(cfg, "ref_plant", 0, 100)
+    held = dict(experiments._SERIES)
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the label was checked")
+
+    monkeypatch.setattr(experiments, "simulate", no_integration)
+    monkeypatch.setattr(experiments, "relax_to_attractor", no_integration)
+    with pytest.raises(ValueError) as info:
+        attractor_series(cfg, kind, 0, 100)
+    for label in PREDICTOR_KINDS + REFERENCE_KINDS:
+        assert repr(label) in str(info.value)
+    assert experiments._SERIES == held
 
 
 def test_racing_threads_get_the_cold_series(empty_memo):
